@@ -19,8 +19,14 @@ from .classify import curve_to_csv, curve_to_json, multi_quantile_train, predict
 from .data import load_csv, standardize_fit, stratified_kfold
 from .metrics import ConfusionMatrix, classification_metrics, rmse
 from .network import forward, load_checkpoint, save_checkpoint
-from .optim import LipschitzContext, lalr_lr, regression_lipschitz_constant, sbqc_lipschitz_constant
-from .trainer import TrainConfig, epochs_to_threshold, train
+from .optim import LipschitzContext, lalr_lr, sbqc_layer_lipschitz_constant, sbqc_lipschitz_constant
+from .trainer import (
+    TrainConfig,
+    _layer_spec,
+    _regression_layer_constant,
+    epochs_to_threshold,
+    train,
+)
 
 
 class CliError(Exception):
@@ -188,7 +194,6 @@ def cmd_lipschitz(args) -> int:
         config = TrainConfig.from_dict(doc)
         tr_std, _ = standardize_fit(ds)
         from .network import init_model
-        from .trainer import _layer_spec
 
         out_dim = 1 if ds.y.ndim == 1 else ds.y.shape[1]
         spec = _layer_spec(config, ds.X.shape[1], out_dim)
@@ -201,12 +206,10 @@ def cmd_lipschitz(args) -> int:
         ctx = LipschitzContext(m=batch.shape[0], y_norm=y_norm, k_z=trace.k_z,
                                tau=config.sbqc_tau if config.task == "classification" else None)
         if config.task == "regression":
-            k = regression_lipschitz_constant(ctx)
-            print(f"regression layer constant (m={ctx.m}, ||y||={ctx.y_norm:.4f}, "
-                  f"K_z={ctx.k_z:.4f}): {k:.6g}")
+            k = _regression_layer_constant(config, ctx)
+            print(f"regression layer constant ({config.loss.kind.value}, m={ctx.m}, "
+                  f"||y||={ctx.y_norm:.4f}, K_z={ctx.k_z:.4f}): {k:.6g}")
         else:
-            from .optim import sbqc_layer_lipschitz_constant
-
             k = sbqc_layer_lipschitz_constant(ctx)
             print(f"sbqc layer constant (tau={config.sbqc_tau:g}, K_z={ctx.k_z:.4f}): {k:.6g}")
         print(f"lalr lr: {lalr_lr(k, config.optimizer.lr_min, config.optimizer.lr_max):.6f}")

@@ -7,7 +7,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -52,6 +51,18 @@ def worker_count() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _pool_size(n_jobs: int) -> int:
+    """Worker processes for n_jobs jobs: never more than the usable CPUs."""
+    return min(worker_count(), _usable_cpus(), n_jobs)
 
 
 def derive_seed(*parts: int) -> int:
@@ -314,11 +325,15 @@ def train_single(
         value, _ = _loss_and_pred_grad(config, out, y)
         return float(value)
 
-    def evaluate_epoch(p: np.ndarray) -> bool:
-        """Record the epoch traces; False when the model state is non-finite."""
+    def evaluate_epoch(p: np.ndarray, tl: float | None = None) -> bool:
+        """Record the epoch traces; False when the model state is non-finite.
+
+        ``tl`` is the full training loss at ``p`` when the caller already has it.
+        """
         nonlocal best_metric, best_epoch, best_params
         try:
-            tl = full_loss(p, X_train, y_train)
+            if tl is None:
+                tl = full_loss(p, X_train, y_train)
             set_flat_params(model, p)
             out_val, _ = forward(model, X_val)
             vl, _ = _loss_and_pred_grad(config, out_val, y_val)
@@ -355,10 +370,12 @@ def train_single(
                 max_backtracks=config.optimizer.max_line_search,
                 value_grad=cached,
             )
+            # step.value is the full training loss at the returned params;
+            # a rejected step returns the unchanged params and their value
             if not step.accepted:
                 ls_failures += 1
                 consecutive_failures += 1
-                if not evaluate_epoch(params):
+                if not evaluate_epoch(params, step.value):
                     diverged = True
                     break
                 if consecutive_failures >= 2:
@@ -369,7 +386,7 @@ def train_single(
             consecutive_failures = 0
             params = step.params
             cached = (step.value, step.grad)
-            if not evaluate_epoch(params):
+            if not evaluate_epoch(params, step.value):
                 diverged = True
                 break
     else:
@@ -529,51 +546,100 @@ def _metrics_for(config: TrainConfig, model_params, spec, X, y) -> dict[str, flo
     return {"rmse": rmse(out.ravel(), target.ravel())}
 
 
+#: (config, fold_plan, dataset, validation slice) of the train() call this
+#: pool worker serves; set once per worker process by ``_init_worker``
+_WORKER_INPUTS: tuple | None = None
+
+
+def _job_inputs(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> tuple:
+    return config, fold_plan, dataset, subset(dataset, fold_plan.val_idx)
+
+
+def _init_worker(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> None:
+    global _WORKER_INPUTS
+    _WORKER_INPUTS = _job_inputs(config, fold_plan, dataset)
+
+
+def _run_job(job: tuple[int, int], inputs: tuple | None = None) -> RunRecord:
+    """Train and score one (fold, repeat) run; a pool worker uses its own inputs."""
+    config, fold_plan, dataset, val_ds = inputs or _WORKER_INPUTS
+    fold, repeat = job
+    train_idx, test_idx = fold_plan.folds[fold]
+    tr = subset(dataset, train_idx)
+    te = subset(dataset, test_idx)
+    tr_std, stats = standardize_fit(tr)
+    te_std = standardize_apply(stats, te)
+    val_std = standardize_apply(stats, val_ds)
+    seed = derive_seed(config.seed, fold, repeat)
+    run = train_single(config, tr_std.X, tr_std.y, val_std.X, val_std.y, seed)
+    out_dim = 1 if dataset.y.ndim == 1 else dataset.y.shape[1]
+    spec = _layer_spec(config, tr_std.X.shape[1], out_dim)
+    if run.diverged:
+        test_m: dict[str, float] = {}
+        val_m: dict[str, float] = {}
+    else:
+        test_m = _metrics_for(config, run.best_params, spec, te_std.X, te_std.y)
+        val_m = _metrics_for(config, run.best_params, spec, val_std.X, val_std.y)
+    return RunRecord(
+        fold=fold, repeat=repeat, diverged=run.diverged, best_epoch=run.best_epoch,
+        train_loss=run.train_loss, val_loss=run.val_loss, val_metric=run.val_metric,
+        lr_trace=run.lr_trace, k_trace=run.k_trace,
+        test_metrics=test_m, val_metrics=val_m, best_params=run.best_params,
+    )
+
+
+def _run_jobs_in_processes(
+    jobs: list[tuple[int, int]], n_workers: int,
+    config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset,
+) -> list[RunRecord]:
+    """Map ``_run_job`` over ``n_workers`` processes, each with one BLAS thread.
+
+    Workers fork from a forkserver that has already imported this module
+    (spawn where forkserver is unavailable) and receive the inputs once,
+    through the pool initializer.  The first call in a process starts the
+    forkserver; it reads the pinned BLAS setting and keeps it for later pools.
+    """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload([__name__])
+    else:
+        ctx = multiprocessing.get_context("spawn")
+    caller_blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(
+            n_workers, mp_context=ctx,
+            initializer=_init_worker, initargs=(config, fold_plan, dataset),
+        ) as pool:
+            return list(pool.map(_run_job, jobs))
+    finally:
+        if caller_blas is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = caller_blas
+
+
 def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunReport:
     """Run the full folds x repeats protocol and aggregate the metrics.
 
     Each (fold, repeat) run standardizes on its own training split, scores
     the fold's test split and the shared validation slice with the
     best-validation parameters, and is seeded independently so repeats and
-    folds can run in any order (or in parallel) with identical results.
+    folds can run in any order (or in worker processes, see
+    ``QUANTLOSS_THREADS``) with identical results.
     """
     if config.task != dataset.task:
         raise ValueError(f"config task {config.task!r} does not match dataset task {dataset.task!r}")
-    val_ds = subset(dataset, fold_plan.val_idx)
-
     jobs = [(f, r) for f in range(len(fold_plan.folds)) for r in range(config.repeats)]
-
-    def run_one(job: tuple[int, int]) -> RunRecord:
-        fold, repeat = job
-        train_idx, test_idx = fold_plan.folds[fold]
-        tr = subset(dataset, train_idx)
-        te = subset(dataset, test_idx)
-        tr_std, stats = standardize_fit(tr)
-        te_std = standardize_apply(stats, te)
-        val_std = standardize_apply(stats, val_ds)
-        seed = derive_seed(config.seed, fold, repeat)
-        run = train_single(config, tr_std.X, tr_std.y, val_std.X, val_std.y, seed)
-        out_dim = 1 if dataset.y.ndim == 1 else dataset.y.shape[1]
-        spec = _layer_spec(config, tr_std.X.shape[1], out_dim)
-        if run.diverged:
-            test_m: dict[str, float] = {}
-            val_m: dict[str, float] = {}
-        else:
-            test_m = _metrics_for(config, run.best_params, spec, te_std.X, te_std.y)
-            val_m = _metrics_for(config, run.best_params, spec, val_std.X, val_std.y)
-        return RunRecord(
-            fold=fold, repeat=repeat, diverged=run.diverged, best_epoch=run.best_epoch,
-            train_loss=run.train_loss, val_loss=run.val_loss, val_metric=run.val_metric,
-            lr_trace=run.lr_trace, k_trace=run.k_trace,
-            test_metrics=test_m, val_metrics=val_m, best_params=run.best_params,
-        )
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one, jobs))
+    n_workers = _pool_size(len(jobs))
+    if n_workers > 1:
+        records = _run_jobs_in_processes(jobs, n_workers, config, fold_plan, dataset)
     else:
-        records = [run_one(j) for j in jobs]
+        inputs = _job_inputs(config, fold_plan, dataset)
+        records = [_run_job(job, inputs) for job in jobs]
 
     names = sorted({k for r in records for k in r.test_metrics})
     aggregates: dict[str, dict[str, float | None]] = {}

@@ -1,13 +1,23 @@
 """CLI: exit codes, schema validation messages, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quantloss.cli import main
-from quantloss.data import write_csv
+from quantloss.data import load_csv, standardize_fit, write_csv
+from quantloss.losses import LossKind
+from quantloss.network import forward, init_model
+from quantloss.optim import LipschitzContext
 from quantloss.synthetic import pima_like, wine_like
+from quantloss.trainer import TrainConfig, _layer_spec, _regression_layer_constant
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -93,6 +103,33 @@ class TestTrainCommand:
         assert rc == 0
 
 
+def test_report_identical_across_worker_settings(tmp_path):
+    """`python -m quantloss train` writes the same report sequentially and on workers."""
+    config = {
+        "task": "classification",
+        "dataset": {"path": str(REPO / "data/fixtures/toy_classification.csv"),
+                    "target": "label"},
+        "model": {"hidden_sizes": [4]},
+        "optimizer": {"kind": "lalr-adam"},
+        "train": {"epochs": 3, "batch_size": 4, "repeats": 2, "folds": 2, "seed": 3},
+    }
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, QUANTLOSS_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantloss", "train", "--config", str(cpath), "--out", str(out)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestEvalCommand:
     def test_eval_scores_checkpoint(self, cls_setup, capsys, tmp_path):
         tp, cpath, config = cls_setup
@@ -123,6 +160,32 @@ class TestLipschitzCommand:
 
     def test_requires_some_input(self, capsys):
         assert main(["lipschitz"]) == 1
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_regression_constant_matches_trainer(self, kind, tmp_path, capsys):
+        csv = tmp_path / "wine.csv"
+        write_csv(wine_like(n=100), csv)
+        doc = {
+            "task": "regression",
+            "dataset": {"path": str(csv), "target": "quality"},
+            "model": {"hidden_sizes": [8]},
+            "loss": {"kind": kind.value, "tau": 0.3, "delta": 0.5},
+            "train": {"batch_size": 32, "seed": 2},
+        }
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(doc))
+        assert main(["lipschitz", "--config", str(cpath)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("regression layer constant"))
+
+        config = TrainConfig.from_dict(doc)
+        ds, _ = standardize_fit(load_csv(csv, "quality"))
+        model = init_model(_layer_spec(config, ds.X.shape[1], 1), config.seed)
+        batch, yb = ds.X[:32], ds.y[:32]
+        _, trace = forward(model, batch)
+        ctx = LipschitzContext(m=32, y_norm=float(np.max(np.abs(yb))), k_z=trace.k_z)
+        expected = _regression_layer_constant(config, ctx)
+        assert line.endswith(f"): {expected:.6g}")
 
 
 class TestQuantilesCommand:

@@ -2,6 +2,8 @@
 divergence tolerance, threshold queries."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from quantloss.synthetic import pima_like
 from quantloss.trainer import (
     OptimizerSpec,
     TrainConfig,
+    _pool_size,
+    _usable_cpus,
     epochs_to_threshold,
     train,
     worker_count,
@@ -328,3 +332,45 @@ class TestWorkerCount:
         monkeypatch.setenv("QUANTLOSS_THREADS", "4")
         par = train(cfg, plan, ds)
         assert seq.to_dict() == par.to_dict()
+
+
+class TestProcessPool:
+    def test_pool_size_caps_at_usable_cpus_and_jobs(self, monkeypatch):
+        monkeypatch.setenv("QUANTLOSS_THREADS", "100000")
+        cpus = len(os.sched_getaffinity(0))
+        assert _usable_cpus() == cpus
+        assert _pool_size(25) == min(cpus, 25)
+        assert _pool_size(1) == 1
+        monkeypatch.setattr("quantloss.trainer._usable_cpus", lambda: 64)
+        assert _pool_size(25) == 25
+        monkeypatch.setenv("QUANTLOSS_THREADS", "3")
+        assert _pool_size(25) == 3
+        monkeypatch.delenv("QUANTLOSS_THREADS")
+        assert _pool_size(25) == 1
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
+
+    @pytest.mark.parametrize("caller_blas", [None, "3"])
+    def test_spawn_fallback_matches_sequential_and_restores_blas_setting(
+        self, monkeypatch, caller_blas
+    ):
+        ds = pima_like(n=120)
+        plan = stratified_kfold(ds, k=2, val_fraction=0.2, seed=0)
+        cfg = _small_cls_config(epochs=2, repeats=1)
+        if caller_blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller_blas)
+        monkeypatch.delenv("QUANTLOSS_THREADS", raising=False)
+        seq = train(cfg, plan, ds)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr("quantloss.trainer._usable_cpus", lambda: 2)
+        monkeypatch.setenv("QUANTLOSS_THREADS", "2")
+        par = train(cfg, plan, ds)
+        assert seq.to_dict() == par.to_dict()
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == caller_blas
