@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import quantile_crossing_grad, quantile_crossing_penalty
-from .network import LayerSpec, MLPModel, backward, flatten_arrays, forward, init_model, set_flat_params, flatten_params
+from .network import LayerSpec, MLPModel, Workspace, backward, forward, init_model
 from .optim import AdamState, adam_step
 from .secant_dist import AsymmetricHSD
 
@@ -139,8 +139,9 @@ def multi_quantile_train(
         dropout=0.0,
     )
     models = [init_model(spec, head_seed(seed, t)) for t in taus]
-    params = [flatten_params(m) for m in models]
-    states = [AdamState.zeros(p.size) for p in params]
+    # one workspace per head: every head's trace is held until the joint backward
+    workspaces = [Workspace(spec) for _ in models]
+    states = [AdamState.zeros(m.params.size) for m in models]
     batch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBA7C4]))
 
     for epoch in range(epochs):
@@ -150,9 +151,8 @@ def multi_quantile_train(
             xb, yb = X[idx], y[idx]
             traces = []
             q_cols = []
-            for m, p in zip(models, params):
-                set_flat_params(m, p)
-                out, trace = forward(m, xb)
+            for m, ws in zip(models, workspaces):
+                out, trace = forward(m, xb, workspace=ws)
                 traces.append(trace)
                 q_cols.append(out[:, 0])
             q = np.column_stack(q_cols)
@@ -164,17 +164,12 @@ def multi_quantile_train(
             grad_q = np.column_stack(grads_q)
             if reg_weight > 0.0:
                 grad_q = grad_q + reg_weight * quantile_crossing_grad(q)
-            for j, (m, trace) in enumerate(zip(models, traces)):
-                wg, bg = backward(m, trace, grad_q[:, j : j + 1])
-                params[j], _ = adam_step(states[j], params[j], flatten_arrays(wg, bg), lr)
-        if penalty_history is not None:
-            for m, p in zip(models, params):
-                set_flat_params(m, p)
-            if len(taus) >= 2:
-                penalty_history.append(quantile_crossing_penalty(
-                    MultiQuantileModel(tuple(taus), models).latents(X)))
-    for m, p in zip(models, params):
-        set_flat_params(m, p)
+            for j, (m, ws, trace) in enumerate(zip(models, workspaces, traces)):
+                backward(m, trace, grad_q[:, j : j + 1], workspace=ws)
+                adam_step(states[j], m.params, ws.grad, lr)
+        if penalty_history is not None and len(taus) >= 2:
+            penalty_history.append(quantile_crossing_penalty(
+                MultiQuantileModel(tuple(taus), models).latents(X)))
     return MultiQuantileModel(tuple(taus), models)
 
 

@@ -118,13 +118,20 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     ds = load_csv(args.dataset, args.target, delimiter=args.delimiter,
                   header=not args.no_header)
-    std_path = Path(args.standardizer) if args.standardizer else (
-        Path(args.checkpoint).parent / "standardizer.json"
-    )
+    if args.standardizer:
+        std_path = Path(args.standardizer)
+        if not std_path.exists():
+            raise CliError(f"standardizer file not found: {std_path}")
+    else:
+        std_path = Path(args.checkpoint).parent / "standardizer.json"
     X = ds.X
     if std_path.exists():
         std = json.loads(std_path.read_text())
-        X = (X - np.asarray(std["mean"])) / np.asarray(std["scale"])
+        mean, scale = np.asarray(std["mean"], dtype=float), np.asarray(std["scale"], dtype=float)
+        if mean.shape != (X.shape[1],) or scale.shape != (X.shape[1],):
+            raise CliError(f"standardizer {std_path} has mean/scale shapes {mean.shape}/{scale.shape}, "
+                           f"but the dataset has {X.shape[1]} features")
+        X = (X - mean) / scale
     out, _ = forward(model, X)
     if ds.task == "classification":
         prob = predict_prob(out[:, 0], args.tau)

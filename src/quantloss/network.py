@@ -9,6 +9,7 @@ sBQC loss maps to a probability.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -22,23 +23,6 @@ def activation_at_zero(kind: str) -> float:
     if kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation {kind!r}")
     return 0.0
-
-
-def _act(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _act_grad(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(float)
-    if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
 
 
 @dataclass(frozen=True)
@@ -106,12 +90,43 @@ class LayerSpec:
         )
 
 
+def _param_views(spec: LayerSpec, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat vector laid out W1, b1, W2, b2, ..."""
+    weights, biases = [], []
+    k = 0
+    for fan_in, fan_out in spec.layer_dims:
+        weights.append(flat[k : k + fan_in * fan_out].reshape(fan_in, fan_out))
+        k += fan_in * fan_out
+        biases.append(flat[k : k + fan_out])
+        k += fan_out
+    return weights, biases
+
+
 @dataclass
 class MLPModel:
+    """A network's parameters, held in one flat float64 vector ``params``.
+
+    ``weights`` and ``biases`` are reshaped views into ``params`` (order W1,
+    b1, W2, b2, ..., row-major), so writing either one writes the other.  The
+    constructor copies the arrays it is given into a new vector; it never
+    aliases them.  Rebinding ``params`` or a list entry breaks the views.
+    """
+
     spec: LayerSpec
     seed: int
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        dims = self.spec.layer_dims
+        if len(self.weights) != len(dims) or len(self.biases) != len(dims) or any(
+            np.shape(w) != (fan_in, fan_out) or np.shape(b) != (fan_out,)
+            for (fan_in, fan_out), w, b in zip(dims, self.weights, self.biases)
+        ):
+            raise ValueError("parameter arrays do not match the declared spec")
+        self.params = np.asarray(flatten_arrays(self.weights, self.biases), dtype=float)
+        self.weights, self.biases = _param_views(self.spec, self.params)
 
 
 @dataclass
@@ -126,7 +141,54 @@ class ForwardTrace:
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
-    k_z: float
+
+    @functools.cached_property
+    def k_z(self) -> float:
+        """Largest |activation| entering the final layer, computed on first access."""
+        a = self.activations[-2]
+        return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+class _RowBuffers:
+    """Forward and backward buffers for one batch row count (see ``Workspace``)."""
+
+    def __init__(self, spec: LayerSpec, m: int):
+        dims = spec.layer_dims
+        hidden = [fan_out for _, fan_out in dims[:-1]]
+        self.pre = [np.empty((m, fan_out)) for _, fan_out in dims]
+        self.act = [np.empty((m, h)) for h in hidden]
+        self.mask = [np.empty((m, h)) if p > 0.0 else None for h, p in zip(hidden, spec.dropout)]
+        # activation derivative at the pre-activations
+        self.slope = [np.empty((m, h)) for h in hidden]
+        # d loss / d activations of the layer's input; becomes the next delta
+        self.da = [None] + [np.empty((m, fan_in)) for fan_in, _ in dims[1:]]
+
+
+class Workspace:
+    """Reusable buffers for ``forward`` and ``backward`` on one network shape.
+
+    Buffers are kept per batch row count, so a loop that alternates
+    minibatches with whole-split evaluation allocates each set once.  The
+    arrays a call returns are these buffers: outputs and trace arrays stay
+    valid only until the next ``forward`` on this workspace with the same row
+    count, and gradients (``grad`` and the per-layer views ``backward``
+    returns) until the next ``backward`` on it.  Copy what must outlive that.
+    """
+
+    def __init__(self, spec: LayerSpec):
+        self.spec = spec
+        #: flat gradient vector, laid out like ``MLPModel.params``
+        self.grad = np.zeros(spec.num_params())
+        self._grad_views = _param_views(spec, self.grad)
+        self._rows: dict[int, _RowBuffers] = {}
+
+    def _buffers(self, model: MLPModel, m: int) -> _RowBuffers:
+        if model.spec is not self.spec and model.spec != self.spec:
+            raise ValueError("workspace was built for a different network shape")
+        bufs = self._rows.get(m)
+        if bufs is None:
+            bufs = self._rows[m] = _RowBuffers(self.spec, m)
+        return bufs
 
 
 def init_model(spec: LayerSpec, seed: int) -> MLPModel:
@@ -141,12 +203,18 @@ def init_model(spec: LayerSpec, seed: int) -> MLPModel:
 
 
 def forward(
-    model: MLPModel, batch: np.ndarray, train_mode: bool = False, seed: int = 0
+    model: MLPModel,
+    batch: np.ndarray,
+    train_mode: bool = False,
+    seed: int = 0,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the batch through the network, recording the trace.
 
     Dropout is applied to hidden activations only when ``train_mode`` is set,
-    with inverted scaling so inference needs no rescale.
+    with inverted scaling so inference needs no rescale.  The outputs and the
+    trace live in ``workspace``'s buffers (see ``Workspace`` for how long they
+    stay valid); without one, a fresh workspace makes them new arrays.
     """
     x = np.asarray(batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
@@ -155,38 +223,51 @@ def forward(
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite values in input batch")
+    bufs = (workspace or Workspace(model.spec))._buffers(model, x.shape[0])
     rng = np.random.default_rng(seed) if train_mode else None
-    n_layers = len(model.weights)
+    kind = model.spec.activation
+    last = len(model.weights) - 1
     pre, acts, masks = [], [x], []
     a = x
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = np.matmul(a, w, out=bufs.pre[layer])
+        z += b
         pre.append(z)
-        if layer == n_layers - 1:
+        mask = None
+        if layer == last:
             a = z
-            masks.append(None)
         else:
-            a = _act(model.spec.activation, z)
+            if kind == "relu":
+                a = np.maximum(z, 0.0, out=bufs.act[layer])
+            elif kind == "tanh":
+                a = np.tanh(z, out=bufs.act[layer])
+            else:
+                a = z
             p = model.spec.dropout[layer]
             if train_mode and p > 0.0:
-                mask = (rng.random(a.shape) >= p) / (1.0 - p)
-                a = a * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
+                mask = rng.random(out=bufs.mask[layer])
+                np.greater_equal(mask, p, out=mask)
+                mask /= 1.0 - p
+                a = np.multiply(a, mask, out=bufs.act[layer])
+        masks.append(mask)
         acts.append(a)
-    k_z = float(np.max(np.abs(acts[-2]))) if acts[-2].size else 0.0
-    return acts[-1], ForwardTrace(pre, acts, masks, k_z)
+    return a, ForwardTrace(pre, acts, masks)
 
 
 def backward(
-    model: MLPModel, trace: ForwardTrace, output_grad: np.ndarray
+    model: MLPModel,
+    trace: ForwardTrace,
+    output_grad: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Backpropagate d(loss)/d(outputs) to parameter gradients.
 
-    Returns (weight_grads, bias_grads) shaped like the model parameters.
-    Dropout masks recorded in the trace are reused, so the gradient matches
-    the exact function computed by the forward pass.
+    Returns (weight_grads, bias_grads) shaped like the model parameters: views
+    into ``workspace.grad``, the flat gradient in ``MLPModel.params`` order,
+    valid until the next ``backward`` on that workspace.  Without a workspace
+    a fresh one makes them new arrays.  Dropout masks recorded in the trace
+    are reused, so the gradient matches the exact function computed by the
+    forward pass.
     """
     n_layers = len(model.weights)
     if len(trace.activations) != n_layers + 1:
@@ -196,65 +277,64 @@ def backward(
         raise ValueError(
             f"output_grad shape {g.shape} does not match outputs {trace.activations[-1].shape}"
         )
-    weight_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    bias_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    workspace = workspace or Workspace(model.spec)
+    bufs = workspace._buffers(model, g.shape[0])
+    weight_grads, bias_grads = workspace._grad_views
+    kind = model.spec.activation
     delta = g  # output layer is linear, so d loss / d z_L = output_grad
     for layer in range(n_layers - 1, -1, -1):
         a_prev = trace.activations[layer]
         if a_prev.shape[1] != model.weights[layer].shape[0]:
             raise ValueError("trace does not match model shapes")
-        weight_grads[layer] = a_prev.T @ delta
-        bias_grads[layer] = delta.sum(axis=0)
+        np.matmul(a_prev.T, delta, out=weight_grads[layer])
+        delta.sum(axis=0, out=bias_grads[layer])
         if layer > 0:
-            da = delta @ model.weights[layer].T
+            da = np.matmul(delta, model.weights[layer].T, out=bufs.da[layer])
             mask = trace.dropout_masks[layer - 1]
             if mask is not None:
-                da = da * mask
-            delta = da * _act_grad(model.spec.activation, trace.pre_activations[layer - 1])
-    return weight_grads, bias_grads
+                da *= mask
+            z = trace.pre_activations[layer - 1]
+            slope = bufs.slope[layer - 1]
+            if kind == "relu":
+                da *= np.greater(z, 0.0, out=slope)
+            elif kind == "tanh":
+                np.tanh(z, out=slope)
+                slope *= slope
+                da *= np.subtract(1.0, slope, out=slope)
+            delta = da
+    return list(weight_grads), list(bias_grads)
 
 
 def flatten_arrays(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
     """Concatenate parameter arrays in the fixed order W1, b1, W2, b2, ... (row-major)."""
     parts = []
     for w, b in zip(weights, biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
+        parts.append(np.ravel(w))
+        parts.append(np.ravel(b))
     return np.concatenate(parts)
 
 
 def flatten_params(model: MLPModel) -> np.ndarray:
-    return flatten_arrays(model.weights, model.biases)
+    """A copy of the model's flat parameter vector."""
+    return model.params.copy()
+
+
+def _checked_flat(model: MLPModel, flat) -> np.ndarray:
+    flat = np.asarray(flat, dtype=float)
+    if flat.shape != model.params.shape:
+        raise ValueError(f"expected a flat vector of length {model.params.size}, got {flat.shape}")
+    return flat
 
 
 def unflatten_params(model: MLPModel, flat: np.ndarray) -> MLPModel:
     """New model with parameters taken from the flat vector (inverse of flatten)."""
-    flat = np.asarray(flat, dtype=float)
-    expected = model.spec.num_params()
-    if flat.shape != (expected,):
-        raise ValueError(f"expected a flat vector of length {expected}, got {flat.shape}")
-    weights, biases = [], []
-    k = 0
-    for fan_in, fan_out in model.spec.layer_dims:
-        weights.append(flat[k : k + fan_in * fan_out].reshape(fan_in, fan_out).copy())
-        k += fan_in * fan_out
-        biases.append(flat[k : k + fan_out].copy())
-        k += fan_out
+    weights, biases = _param_views(model.spec, _checked_flat(model, flat))
     return MLPModel(spec=model.spec, seed=model.seed, weights=weights, biases=biases)
 
 
 def set_flat_params(model: MLPModel, flat: np.ndarray) -> None:
-    """Write a flat parameter vector into the model arrays in place."""
-    flat = np.asarray(flat, dtype=float)
-    expected = model.spec.num_params()
-    if flat.shape != (expected,):
-        raise ValueError(f"expected a flat vector of length {expected}, got {flat.shape}")
-    k = 0
-    for w, b in zip(model.weights, model.biases):
-        w[...] = flat[k : k + w.size].reshape(w.shape)
-        k += w.size
-        b[...] = flat[k : k + b.size]
-        k += b.size
+    """Copy a flat parameter vector into ``model.params`` (and so its views)."""
+    model.params[...] = _checked_flat(model, flat)
 
 
 def save_checkpoint(model: MLPModel, path) -> None:
@@ -279,7 +359,4 @@ def load_checkpoint(path) -> MLPModel:
     spec = LayerSpec.from_dict(doc["spec"])
     weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
     biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-    for (fan_in, fan_out), w, b in zip(spec.layer_dims, weights, biases):
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ValueError("checkpoint arrays do not match the declared spec")
     return MLPModel(spec=spec, seed=int(doc["seed"]), weights=weights, biases=biases)

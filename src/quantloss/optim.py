@@ -116,10 +116,14 @@ class AdamState:
 def adam_step(
     state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns (new params, state).
+    """One bias-corrected Adam update of ``params`` in place; returns (params, state).
 
-    The state is mutated in place.  Non-finite gradients reject the step
-    before any state is touched.
+    A float64 ``params`` array is updated in place and returned, so a buffer
+    such as ``MLPModel.params`` holds the new values; any other input is
+    converted to a new float64 array, which is updated and returned.  The
+    state is mutated in place too.  Every check runs before anything is
+    written: mismatched shapes, a non-positive lr, a read-only ``params`` or a
+    non-finite gradient raise ValueError and leave params and state unchanged.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
@@ -127,6 +131,8 @@ def adam_step(
         raise ValueError("params, grads and state must share one shape")
     if not lr > 0:
         raise ValueError(f"lr must be > 0, got {lr}")
+    if not params.flags.writeable:
+        raise ValueError("params must be writable; the step updates them in place")
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient; step rejected")
     state.step += 1
@@ -136,8 +142,8 @@ def adam_step(
     state.exp_avg_sq += (1.0 - state.beta2) * grads * grads
     m_hat = state.exp_avg / (1.0 - state.beta1**state.step)
     v_hat = state.exp_avg_sq / (1.0 - state.beta2**state.step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, state
+    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return params, state
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from .losses import LossSpec, batch_loss
 from .metrics import ConfusionMatrix, classification_metrics, rmse
 from .network import (
     LayerSpec,
+    Workspace,
     activation_at_zero,
     backward,
-    flatten_arrays,
     flatten_params,
     forward,
     init_model,
@@ -298,6 +298,7 @@ def train_single(
         out_dim = 1
     spec = _layer_spec(config, X_train.shape[1], out_dim)
     model = init_model(spec, seed)
+    ws = Workspace(spec)
     params = flatten_params(model)
 
     n = X_train.shape[0]
@@ -319,12 +320,6 @@ def train_single(
     y_norm = float(np.max(np.linalg.norm(y2, axis=1))) if config.task == "regression" else 0.0
     g0 = activation_at_zero("identity")  # output layer is linear
 
-    def full_loss(p: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        set_flat_params(model, p)
-        out, _ = forward(model, X)
-        value, _ = _loss_and_pred_grad(config, out, y)
-        return float(value)
-
     def evaluate_epoch(p: np.ndarray, tl: float | None = None) -> bool:
         """Record the epoch traces; False when the model state is non-finite.
 
@@ -332,10 +327,12 @@ def train_single(
         """
         nonlocal best_metric, best_epoch, best_params
         try:
+            if p is not model.params:
+                set_flat_params(model, p)
             if tl is None:
-                tl = full_loss(p, X_train, y_train)
-            set_flat_params(model, p)
-            out_val, _ = forward(model, X_val)
+                out, _ = forward(model, X_train, workspace=ws)
+                tl = float(_loss_and_pred_grad(config, out, y_train)[0])
+            out_val, _ = forward(model, X_val, workspace=ws)
             vl, _ = _loss_and_pred_grad(config, out_val, y_val)
             vm = _val_metric(config, out_val, y_val)
         except ValueError:
@@ -355,12 +352,15 @@ def train_single(
     if config.optimizer.kind == "lbfgs":
         mem = LBFGSMemory(m_hist=config.optimizer.m_hist)
 
+        # params stays the line search's own vector: lbfgs_step keeps x0 and
+        # the returned gradients across objective calls, so neither may alias
+        # the model's parameters or the workspace's gradient
         def objective(p: np.ndarray) -> tuple[float, np.ndarray]:
             set_flat_params(model, p)
-            out, trace = forward(model, X_train)
+            out, trace = forward(model, X_train, workspace=ws)
             value, pred_grad = _loss_and_pred_grad(config, out, y_train)
-            wg, bg = backward(model, trace, pred_grad)
-            return float(value), flatten_arrays(wg, bg)
+            backward(model, trace, pred_grad, workspace=ws)
+            return float(value), ws.grad.copy()
 
         cached = objective(params)
         consecutive_failures = 0
@@ -390,19 +390,20 @@ def train_single(
                 diverged = True
                 break
     else:
+        params = model.params  # adam_step updates the model in place
         state = AdamState.zeros(params.size, config.optimizer.beta1, config.optimizer.beta2)
         batch_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C4]))
         mask_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD809]))
+        use_dropout = any(p > 0 for p in spec.dropout)
         for epoch in range(config.epochs):
             order = batch_rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 xb, yb = X_train[idx], y_train[idx]
-                set_flat_params(model, params)
-                use_dropout = any(p > 0 for p in spec.dropout)
                 out, trace = forward(
                     model, xb, train_mode=use_dropout,
                     seed=int(mask_rng.integers(0, 2**63)) if use_dropout else 0,
+                    workspace=ws,
                 )
                 try:
                     value, pred_grad = _loss_and_pred_grad(config, out, yb)
@@ -412,8 +413,7 @@ def train_single(
                 if not math.isfinite(value):
                     diverged = True
                     break
-                wg, bg = backward(model, trace, pred_grad)
-                grad = flatten_arrays(wg, bg)
+                backward(model, trace, pred_grad, workspace=ws)
                 if lalr:
                     ctx = LipschitzContext(
                         m=len(idx), y_norm=y_norm, k_z=trace.k_z, g_at_zero=g0,
@@ -430,7 +430,7 @@ def train_single(
                 else:
                     lr = _epoch_lr(config, epoch)
                 try:
-                    params, state = adam_step(state, params, grad, lr)
+                    adam_step(state, params, ws.grad, lr)
                 except ValueError:
                     diverged = True
                     break

@@ -145,6 +145,61 @@ class TestEvalCommand:
         assert "accuracy" in capsys.readouterr().out
 
 
+
+class TestEvalStandardizer:
+    def _trained(self, cls_setup):
+        tp, cpath, config = cls_setup
+        out = tp / "run"
+        assert main(["train", "--config", str(cpath), "--out", str(out)]) == 0
+        return out, config["dataset"]["path"]
+
+    def _eval(self, ckpt, dataset, *extra):
+        return main(["eval", "--checkpoint", str(ckpt), "--dataset", dataset,
+                     "--target", "diabetes", *extra])
+
+    def test_missing_explicit_standardizer_names_the_file(self, cls_setup, capsys):
+        out, dataset = self._trained(cls_setup)
+        missing = out / "no_such_standardizer.json"
+        assert self._eval(out / "checkpoint.json", dataset, "--standardizer", str(missing)) == 1
+        assert "no_such_standardizer.json" in capsys.readouterr().err
+
+    def test_standardizer_of_another_width_names_the_file(self, cls_setup, capsys):
+        out, dataset = self._trained(cls_setup)
+        narrow = out / "narrow.json"
+        narrow.write_text(json.dumps({"mean": [0.0, 0.0], "scale": [1.0, 1.0]}))
+        assert self._eval(out / "checkpoint.json", dataset, "--standardizer", str(narrow)) == 1
+        assert "narrow.json" in capsys.readouterr().err
+
+    def test_omitted_flag_without_a_saved_standardizer_scores_raw_features(self, cls_setup, capsys):
+        out, dataset = self._trained(cls_setup)
+        (out / "standardizer.json").unlink()
+        assert self._eval(out / "checkpoint.json", dataset) == 0
+        assert "accuracy" in capsys.readouterr().out
+
+
+def test_train_runs_clean_in_dev_mode_with_warnings_as_errors(tmp_path):
+    """Worker pool and training buffers leak no resource and raise no warning."""
+    config = {
+        "task": "classification",
+        "dataset": {"path": str(REPO / "data/fixtures/toy_classification.csv"),
+                    "target": "label"},
+        "model": {"hidden_sizes": [4]},
+        "optimizer": {"kind": "lalr-adam"},
+        "train": {"epochs": 3, "batch_size": 4, "repeats": 2, "folds": 2, "seed": 3},
+    }
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config))
+    env = dict(os.environ, QUANTLOSS_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "quantloss", "train",
+         "--config", str(cpath), "--out", str(tmp_path / "run")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestLipschitzCommand:
     def test_prints_thm4_constant(self, capsys):
         assert main(["lipschitz", "--tau", "0.25"]) == 0

@@ -318,3 +318,49 @@ class TestEmpiricalLipschitz:
             y_norm = float(np.max(np.linalg.norm(Y, axis=1)))
             ctx = LipschitzContext(m=m, y_norm=y_norm, k_z=trace.k_z, g_at_zero=0.0)
             assert np.max(per_example) <= regression_lipschitz_constant(ctx) + 1e-8
+
+
+class TestAdamInPlace:
+    @staticmethod
+    def _ref_step(state, params, grads, lr):
+        """The allocating update, on copies of the state arrays."""
+        m = state.beta1 * state.exp_avg + (1.0 - state.beta1) * grads
+        v = state.beta2 * state.exp_avg_sq + (1.0 - state.beta2) * grads * grads
+        m_hat = m / (1.0 - state.beta1 ** (state.step + 1))
+        v_hat = v / (1.0 - state.beta2 ** (state.step + 1))
+        return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+    def test_updates_and_returns_the_input_buffer(self):
+        rng = np.random.default_rng(1)
+        state = AdamState.zeros(6)
+        params = rng.normal(size=6)
+        for g in rng.normal(size=(5, 6)):
+            want = self._ref_step(state, params.copy(), g, 0.03)
+            out, _ = adam_step(state, params, g, lr=0.03)
+            assert out is params
+            np.testing.assert_array_equal(params, want)
+
+    @pytest.mark.parametrize("bad", [
+        {"grads": np.array([1.0, np.inf, 0.0])},
+        {"grads": np.array([1.0, np.nan, 0.0])},
+        {"lr": 0.0},
+        {"grads": np.zeros(4)},
+    ])
+    def test_rejected_step_leaves_params_and_state_bit_unchanged(self, bad):
+        state = AdamState.zeros(3)
+        params = np.array([0.5, -1.0, 2.0])
+        adam_step(state, params, np.array([0.1, 0.2, -0.3]), lr=0.1)
+        before = (params.tobytes(), state.exp_avg.tobytes(), state.exp_avg_sq.tobytes(), state.step)
+        kwargs = {"grads": np.array([1.0, 1.0, 1.0]), "lr": 0.1, **bad}
+        with pytest.raises(ValueError):
+            adam_step(state, params, kwargs["grads"], lr=kwargs["lr"])
+        assert (params.tobytes(), state.exp_avg.tobytes(), state.exp_avg_sq.tobytes(),
+                state.step) == before
+
+    def test_read_only_params_rejected_before_any_state_change(self):
+        state = AdamState.zeros(2)
+        params = np.zeros(2)
+        params.flags.writeable = False
+        with pytest.raises(ValueError):
+            adam_step(state, params, np.ones(2), lr=0.1)
+        assert state.step == 0 and not state.exp_avg.any()
