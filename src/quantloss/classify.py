@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import quantile_crossing_grad, quantile_crossing_penalty
-from .network import LayerSpec, MLPModel, Workspace, backward, forward, init_model
+from .network import LayerSpec, MLPModel, Workspace, backward, forward, init_model, stack_models
 from .optim import AdamState, adam_step
 from .secant_dist import AsymmetricHSD
 
@@ -43,17 +43,22 @@ class SBQCSpec:
             raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
 
 
-def predict_prob(z, tau: float):
-    """P(y = 1) for a latent z: 1 - F_tau(z).  Threshold 0.5 gives the label."""
+def predict_prob(z, tau):
+    """P(y = 1) for a latent z: 1 - F_tau(z).  Threshold 0.5 gives the label.
+
+    A vector of levels broadcasts along the last axis of z.
+    """
     return 1.0 - AsymmetricHSD(tau).cdf(z)
 
 
-def sbqc_loss(y, z, tau: float):
+def sbqc_loss(y, z, tau):
     """Negative log-likelihood of a binary label under p = 1 - F_tau(z).
 
     Probabilities are clamped into [1e-12, 1 - 1e-12] before the log; the
     gradient is taken through the distribution function by the chain rule.
-    Accepts scalars or equally shaped arrays; returns (value, grad_z).
+    Accepts scalars or arrays that broadcast; returns (value, grad_z).  A
+    vector of levels broadcasts along the last axis of z, one level per
+    column, with each element computed as with its level alone.
     """
     dist = AsymmetricHSD(tau)
     y_arr = np.asarray(y, dtype=float)
@@ -70,11 +75,20 @@ def sbqc_loss(y, z, tau: float):
     return value, grad
 
 
-def sbqc_batch_loss(y, z, tau: float) -> tuple[float, np.ndarray]:
-    """Mean sBQC loss over a batch and its gradient with respect to z."""
-    value, grad = sbqc_loss(np.asarray(y, float), np.asarray(z, float), tau)
-    m = np.asarray(z, float).shape[0]
-    return float(np.mean(value)), grad / m
+def sbqc_batch_loss(y, z, tau) -> tuple[float, np.ndarray]:
+    """Mean sBQC loss over a batch and its gradient with respect to z.
+
+    With a vector of levels, z is an (m, levels) matrix, y broadcasts against
+    it (an (m, 1) label column), and the value is the sum over levels of each
+    level's batch mean.  The gradient is elementwise divided by m either way.
+    """
+    z = np.asarray(z, float)
+    value, grad = sbqc_loss(np.asarray(y, float), z, tau)
+    m = z.shape[0]
+    if np.ndim(tau) == 0:
+        return float(np.mean(value)), grad / m
+    # one contiguous row per level, so each mean sums in a single level's order
+    return sum(np.ascontiguousarray(value.T).mean(axis=1).tolist()), grad / m
 
 
 @dataclass
@@ -138,10 +152,11 @@ def multi_quantile_train(
         activation=activation,
         dropout=0.0,
     )
-    models = [init_model(spec, head_seed(seed, t)) for t in taus]
-    # one workspace per head: every head's trace is held until the joint backward
-    workspaces = [Workspace(spec) for _ in models]
-    states = [AdamState.zeros(m.params.size) for m in models]
+    # the heads train as one stack: one forward, sBQC, backward and Adam step per batch
+    stack = stack_models([init_model(spec, head_seed(seed, t)) for t in taus])
+    ws = Workspace(spec, stack.heads)
+    state = AdamState.zeros(stack.params.size)
+    levels = np.array(taus)
     batch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBA7C4]))
 
     for epoch in range(epochs):
@@ -149,28 +164,18 @@ def multi_quantile_train(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             xb, yb = X[idx], y[idx]
-            traces = []
-            q_cols = []
-            for m, ws in zip(models, workspaces):
-                out, trace = forward(m, xb, workspace=ws)
-                traces.append(trace)
-                q_cols.append(out[:, 0])
-            q = np.column_stack(q_cols)
+            out, trace = forward(stack, xb, workspace=ws)
+            q = out[..., 0].T  # (m, heads) latent matrix
             # sBQC scores the negated quantile head (see module docstring)
-            grads_q = []
-            for j, t in enumerate(taus):
-                _, g = sbqc_batch_loss(yb, -q[:, j], t)
-                grads_q.append(-g)
-            grad_q = np.column_stack(grads_q)
+            _, g = sbqc_batch_loss(yb[:, None], -q, levels)
+            grad_q = -g
             if reg_weight > 0.0:
                 grad_q = grad_q + reg_weight * quantile_crossing_grad(q)
-            for j, (m, ws, trace) in enumerate(zip(models, workspaces, traces)):
-                backward(m, trace, grad_q[:, j : j + 1], workspace=ws)
-                adam_step(states[j], m.params, ws.grad, lr)
+            backward(stack, trace, grad_q.T[..., None], workspace=ws)
+            adam_step(state, stack.params, ws.grad, lr)
         if penalty_history is not None and len(taus) >= 2:
-            penalty_history.append(quantile_crossing_penalty(
-                MultiQuantileModel(tuple(taus), models).latents(X)))
-    return MultiQuantileModel(tuple(taus), models)
+            penalty_history.append(quantile_crossing_penalty(forward(stack, X)[0][..., 0].T.copy()))
+    return MultiQuantileModel(tuple(taus), stack.unstack())
 
 
 @dataclass

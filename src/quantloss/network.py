@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,14 +91,22 @@ class LayerSpec:
         )
 
 
-def _param_views(spec: LayerSpec, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into a flat vector laid out W1, b1, W2, b2, ..."""
+def _param_views(
+    spec: LayerSpec, flat: np.ndarray, heads: int | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat vector laid out W1, b1, W2, b2, ...
+
+    With ``heads`` the vector holds that many such layouts one after another,
+    and every view gains a leading head axis.
+    """
+    lead = () if heads is None else (heads,)
+    rows = flat.reshape(lead + (-1,))
     weights, biases = [], []
     k = 0
     for fan_in, fan_out in spec.layer_dims:
-        weights.append(flat[k : k + fan_in * fan_out].reshape(fan_in, fan_out))
+        weights.append(rows[..., k : k + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
         k += fan_in * fan_out
-        biases.append(flat[k : k + fan_out])
+        biases.append(rows[..., k : k + fan_out])
         k += fan_out
     return weights, biases
 
@@ -117,6 +126,8 @@ class MLPModel:
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    #: a single network has no head axis (see ``ModelStack``)
+    heads: ClassVar[None] = None
 
     def __post_init__(self) -> None:
         dims = self.spec.layer_dims
@@ -130,11 +141,58 @@ class MLPModel:
 
 
 @dataclass
+class ModelStack:
+    """Same-shape networks stacked along a leading head axis, in one flat vector.
+
+    ``params`` holds the heads one after another: head j's slice is laid out
+    exactly like its ``MLPModel.params``.  ``weights[l]`` are views of shape
+    (heads, fan_in, fan_out) and ``biases[l]`` of shape (heads, 1, fan_out),
+    so ``forward`` and ``backward`` run every head on one shared input batch
+    through the code path of a single network, with outputs and gradients
+    gaining the leading head axis.  ``np.matmul`` runs the same kernel on each
+    head's matrices, so each head's numbers equal its single-network ones bit
+    for bit.
+    """
+
+    spec: LayerSpec
+    seeds: tuple[int, ...]
+    params: np.ndarray = field(repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+    heads: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.heads = len(self.seeds)
+        if self.heads < 1 or self.params.shape != (self.heads * self.spec.num_params(),):
+            raise ValueError("stacked parameters do not match the declared spec and head count")
+        self.weights, biases = _param_views(self.spec, self.params, self.heads)
+        self.biases = [b[:, None, :] for b in biases]
+
+    def unstack(self) -> list[MLPModel]:
+        """One ``MLPModel`` per head, each with a copy of that head's parameters."""
+        return [
+            MLPModel(self.spec, seed, *_param_views(self.spec, row))
+            for seed, row in zip(self.seeds, self.params.reshape(self.heads, -1))
+        ]
+
+
+def stack_models(models: list[MLPModel]) -> ModelStack:
+    """Stack same-shape networks into a ``ModelStack`` (their parameters are copied)."""
+    if not models:
+        raise ValueError("need at least one model to stack")
+    spec = models[0].spec
+    if any(m.spec != spec for m in models):
+        raise ValueError("stacked models must share one network shape")
+    return ModelStack(spec, tuple(m.seed for m in models), np.concatenate([m.params for m in models]))
+
+
+@dataclass
 class ForwardTrace:
     """Per-layer records of one forward pass.
 
     ``activations[0]`` is the input batch and ``activations[-2]`` is the input
-    to the final layer, whose largest magnitude over the batch is ``k_z``.
+    to the final layer, whose largest magnitude over the batch (and over every
+    head of a ``ModelStack``) is ``k_z``.
     Dropout masks already include the inverted-dropout 1/(1-p) scaling.
     """
 
@@ -150,44 +208,82 @@ class ForwardTrace:
 
 
 class _RowBuffers:
-    """Forward and backward buffers for one batch row count (see ``Workspace``)."""
+    """Forward buffers for one batch row count (see ``Workspace``)."""
 
-    def __init__(self, spec: LayerSpec, m: int):
+    def __init__(self, spec: LayerSpec, lead: tuple[int, ...], m: int):
         dims = spec.layer_dims
         hidden = [fan_out for _, fan_out in dims[:-1]]
-        self.pre = [np.empty((m, fan_out)) for _, fan_out in dims]
-        self.act = [np.empty((m, h)) for h in hidden]
-        self.mask = [np.empty((m, h)) if p > 0.0 else None for h, p in zip(hidden, spec.dropout)]
-        # activation derivative at the pre-activations
-        self.slope = [np.empty((m, h)) for h in hidden]
-        # d loss / d activations of the layer's input; becomes the next delta
-        self.da = [None] + [np.empty((m, fan_in)) for fan_in, _ in dims[1:]]
+        self.pre = [np.empty(lead + (m, fan_out)) for _, fan_out in dims]
+        self.act = [np.empty(lead + (m, h)) for h in hidden]
+        self.mask = [np.empty(lead + (m, h)) if p > 0.0 else None for h, p in zip(hidden, spec.dropout)]
+
+
+class _BackwardScratch:
+    """Backward-only buffers shared by every row count: flat arrays sized for
+    the most rows seen so far, handed out as C-contiguous views of a prefix."""
+
+    def __init__(self, spec: LayerSpec, lead: tuple[int, ...]):
+        self.lead = lead
+        self.heads = int(np.prod(lead))
+        self.hidden = [fan_out for _, fan_out in spec.layer_dims[:-1]]
+        # relu's derivative is 0 or 1, so a bool flag carries it exactly
+        slope = {"relu": bool, "tanh": float}.get(spec.activation)
+        self.layout = [(spec.output_dim, float)] + [(h, float) for h in self.hidden]
+        if slope is not None:
+            self.layout += [(h, slope) for h in self.hidden]
+        self.rows = 0
+        self.views: dict[int, tuple] = {}
+
+    def get(self, m: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """For m rows: (output gradient, d loss / d activations per hidden
+        layer, activation slope per hidden layer; empty for identity)."""
+        views = self.views.get(m)
+        if views is None:
+            if m > self.rows:
+                self.rows, self.views = m, {}
+                self.flat = [np.empty(self.heads * m * w, dtype) for w, dtype in self.layout]
+            v = [
+                f[: self.heads * m * w].reshape(self.lead + (m, w))
+                for f, (w, _) in zip(self.flat, self.layout)
+            ]
+            n = len(self.hidden)
+            views = self.views[m] = (v[0], v[1 : n + 1], v[n + 1 :])
+        return views
 
 
 class Workspace:
     """Reusable buffers for ``forward`` and ``backward`` on one network shape.
 
-    Buffers are kept per batch row count, so a loop that alternates
-    minibatches with whole-split evaluation allocates each set once.  The
-    arrays a call returns are these buffers: outputs and trace arrays stay
-    valid only until the next ``forward`` on this workspace with the same row
-    count, and gradients (``grad`` and the per-layer views ``backward``
-    returns) until the next ``backward`` on it.  Copy what must outlive that.
+    Forward buffers are kept per batch row count, so a loop that alternates
+    minibatches with whole-split evaluation allocates each set once; the
+    backward-only scratch is shared by all row counts.  The arrays a call
+    returns are these buffers: outputs and trace arrays stay valid only until
+    the next ``forward`` on this workspace with the same row count, and
+    gradients (``grad`` and the per-layer views ``backward`` returns) until
+    the next ``backward`` on it.  Copy what must outlive that.  A workspace
+    for a ``ModelStack`` is built with its head count.
     """
 
-    def __init__(self, spec: LayerSpec):
+    def __init__(self, spec: LayerSpec, heads: int | None = None):
         self.spec = spec
-        #: flat gradient vector, laid out like ``MLPModel.params``
-        self.grad = np.zeros(spec.num_params())
-        self._grad_views = _param_views(spec, self.grad)
+        self.heads = heads
+        lead = () if heads is None else (heads,)
+        #: flat gradient vector, laid out like ``MLPModel.params`` (or ``ModelStack.params``)
+        self.grad = np.zeros((heads or 1) * spec.num_params())
+        self._grad_views = _param_views(spec, self.grad, heads)
+        self._lead = lead
         self._rows: dict[int, _RowBuffers] = {}
+        self._scratch = _BackwardScratch(spec, lead)
 
-    def _buffers(self, model: MLPModel, m: int) -> _RowBuffers:
-        if model.spec is not self.spec and model.spec != self.spec:
+    def _check(self, model: MLPModel | ModelStack) -> None:
+        if model.heads != self.heads or (model.spec is not self.spec and model.spec != self.spec):
             raise ValueError("workspace was built for a different network shape")
+
+    def _buffers(self, model: MLPModel | ModelStack, m: int) -> _RowBuffers:
+        self._check(model)
         bufs = self._rows.get(m)
         if bufs is None:
-            bufs = self._rows[m] = _RowBuffers(self.spec, m)
+            bufs = self._rows[m] = _RowBuffers(self.spec, self._lead, m)
         return bufs
 
 
@@ -203,7 +299,7 @@ def init_model(spec: LayerSpec, seed: int) -> MLPModel:
 
 
 def forward(
-    model: MLPModel,
+    model: MLPModel | ModelStack,
     batch: np.ndarray,
     train_mode: bool = False,
     seed: int = 0,
@@ -214,7 +310,8 @@ def forward(
     Dropout is applied to hidden activations only when ``train_mode`` is set,
     with inverted scaling so inference needs no rescale.  The outputs and the
     trace live in ``workspace``'s buffers (see ``Workspace`` for how long they
-    stay valid); without one, a fresh workspace makes them new arrays.
+    stay valid); without one, a fresh workspace makes them new arrays.  A
+    ``ModelStack`` runs every head on the batch; its outputs are (heads, m, out).
     """
     x = np.asarray(batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
@@ -223,7 +320,7 @@ def forward(
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite values in input batch")
-    bufs = (workspace or Workspace(model.spec))._buffers(model, x.shape[0])
+    bufs = (workspace or Workspace(model.spec, model.heads))._buffers(model, x.shape[0])
     rng = np.random.default_rng(seed) if train_mode else None
     kind = model.spec.activation
     last = len(model.weights) - 1
@@ -255,7 +352,7 @@ def forward(
 
 
 def backward(
-    model: MLPModel,
+    model: MLPModel | ModelStack,
     trace: ForwardTrace,
     output_grad: np.ndarray,
     workspace: Workspace | None = None,
@@ -267,7 +364,8 @@ def backward(
     valid until the next ``backward`` on that workspace.  Without a workspace
     a fresh one makes them new arrays.  Dropout masks recorded in the trace
     are reused, so the gradient matches the exact function computed by the
-    forward pass.
+    forward pass.  An ``output_grad`` that is not C-contiguous is copied into
+    a contiguous buffer first, so the gradient does not depend on its layout.
     """
     n_layers = len(model.weights)
     if len(trace.activations) != n_layers + 1:
@@ -277,27 +375,33 @@ def backward(
         raise ValueError(
             f"output_grad shape {g.shape} does not match outputs {trace.activations[-1].shape}"
         )
-    workspace = workspace or Workspace(model.spec)
-    bufs = workspace._buffers(model, g.shape[0])
+    workspace = workspace or Workspace(model.spec, model.heads)
+    workspace._check(model)
+    out_grad, da_bufs, slopes = workspace._scratch.get(g.shape[-2])
+    if not (g.flags.c_contiguous and g.flags.aligned):
+        # a strided gradient can take another BLAS path and change the rounding
+        np.copyto(out_grad, g)
+        g = out_grad
     weight_grads, bias_grads = workspace._grad_views
     kind = model.spec.activation
     delta = g  # output layer is linear, so d loss / d z_L = output_grad
     for layer in range(n_layers - 1, -1, -1):
         a_prev = trace.activations[layer]
-        if a_prev.shape[1] != model.weights[layer].shape[0]:
+        if a_prev.shape[-1] != model.weights[layer].shape[-2]:
             raise ValueError("trace does not match model shapes")
-        np.matmul(a_prev.T, delta, out=weight_grads[layer])
-        delta.sum(axis=0, out=bias_grads[layer])
+        np.matmul(a_prev.mT, delta, out=weight_grads[layer])
+        delta.sum(axis=-2, out=bias_grads[layer])
         if layer > 0:
-            da = np.matmul(delta, model.weights[layer].T, out=bufs.da[layer])
+            # d loss / d activations of the layer's input; becomes the next delta
+            da = np.matmul(delta, model.weights[layer].mT, out=da_bufs[layer - 1])
             mask = trace.dropout_masks[layer - 1]
             if mask is not None:
                 da *= mask
             z = trace.pre_activations[layer - 1]
-            slope = bufs.slope[layer - 1]
             if kind == "relu":
-                da *= np.greater(z, 0.0, out=slope)
+                da *= np.greater(z, 0.0, out=slopes[layer - 1])
             elif kind == "tanh":
+                slope = slopes[layer - 1]
                 np.tanh(z, out=slope)
                 slope *= slope
                 da *= np.subtract(1.0, slope, out=slope)

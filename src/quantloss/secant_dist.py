@@ -4,6 +4,10 @@ Density (2/pi) sech(x) [tau 1{x<0} + (1-tau) 1{x>=0}], so the quantile marker
 tau is exactly the mass left of zero: cdf(0) = tau.  The distribution function
 uses arctan(tanh(x/2)) on both half-lines (the form the density integrates to;
 it is bounded and makes F continuous with limits 0 and 1).
+
+``tau`` may also be a vector of levels, one distribution per level: it
+broadcasts along the last axis of x, and each element's arithmetic is the
+same as with that level alone.
 """
 
 from __future__ import annotations
@@ -23,13 +27,29 @@ def sech(x):
 
 @dataclass(frozen=True)
 class AsymmetricHSD:
-    """Hyperbolic secant distribution tilted by the quantile marker tau."""
+    """Hyperbolic secant distribution tilted by the quantile marker tau.
 
-    tau: float
+    ``tau`` is a level or a 1-d vector of levels (kept as a read-only array);
+    ``pdf`` and ``cdf`` broadcast a vector along the last axis of x.
+    """
+
+    tau: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be inside (0, 1), got {self.tau}")
+        if np.ndim(self.tau) == 0:
+            if not 0.0 < self.tau < 1.0:
+                raise ValueError(f"tau must be inside (0, 1), got {self.tau}")
+            return
+        levels = np.array(self.tau, dtype=float)
+        if levels.ndim != 1 or levels.size == 0:
+            raise ValueError(
+                f"tau must be a level or a non-empty 1-d vector of levels, got shape {levels.shape}"
+            )
+        bad = [float(t) for t in levels if not 0.0 < t < 1.0]
+        if bad:
+            raise ValueError(f"every tau must lie inside (0, 1), got {bad[0]} in {levels.tolist()}")
+        levels.flags.writeable = False
+        object.__setattr__(self, "tau", levels)
 
     def pdf(self, x):
         """Density at x; symmetric about 0 when tau = 0.5."""

@@ -135,6 +135,21 @@ class TestMultiQuantileTrain:
                 flatten_params(joint.models[k]), flatten_params(solo.models[0])
             )
 
+    def test_lambda_zero_equals_independent_training_with_a_remainder_batch(self):
+        # 614 rows (the pima pool size) leave a 38-row batch at every epoch end
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(614, 4))
+        y = (X[:, 0] - 0.7 * X[:, 2] + rng.logistic(size=614) > 0).astype(float)
+        grid = [0.25, 0.5, 0.75]
+        joint = multi_quantile_train(X, y, grid, hidden_sizes=(8,), epochs=20,
+                                     reg_weight=0.0, seed=3)
+        for k, tau in enumerate(grid):
+            solo = multi_quantile_train(X, y, [tau], hidden_sizes=(8,), epochs=20,
+                                        reg_weight=0.0, seed=3)
+            np.testing.assert_array_equal(
+                flatten_params(joint.models[k]), flatten_params(solo.models[0])
+            )
+
     def test_single_tau_grid_is_plain_training(self):
         X, y = _separable_toy()
         mq = multi_quantile_train(X, y, [0.5], hidden_sizes=(8,), epochs=3, seed=1,

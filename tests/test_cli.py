@@ -200,6 +200,29 @@ def test_train_runs_clean_in_dev_mode_with_warnings_as_errors(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_quantiles_runs_clean_in_dev_mode_with_warnings_as_errors(tmp_path):
+    """The default 9-level grid trains and exports its curve without a warning."""
+    config = {
+        "task": "classification",
+        "dataset": {"path": str(REPO / "data/fixtures/toy_classification.csv"),
+                    "target": "label"},
+        "model": {"hidden_sizes": [4]},
+        "train": {"epochs": 5, "seed": 3},
+    }
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "quantloss", "quantiles",
+         "--config", str(cpath), "--out", str(tmp_path / "curve")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "curve" / "quantile_curve_f1.json").read_text())
+    assert len(doc["tau_grid"]) == 9
+
+
 class TestLipschitzCommand:
     def test_prints_thm4_constant(self, capsys):
         assert main(["lipschitz", "--tau", "0.25"]) == 0
