@@ -174,7 +174,8 @@ def multi_quantile_train(
             backward(stack, trace, grad_q.T[..., None], workspace=ws)
             adam_step(state, stack.params, ws.grad, lr)
         if penalty_history is not None and len(taus) >= 2:
-            penalty_history.append(quantile_crossing_penalty(forward(stack, X)[0][..., 0].T.copy()))
+            penalty_history.append(quantile_crossing_penalty(
+                MultiQuantileModel(tuple(taus), stack.unstack()).latents(X)))
     return MultiQuantileModel(tuple(taus), stack.unstack())
 
 

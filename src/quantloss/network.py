@@ -389,11 +389,13 @@ def backward(
         a_prev = trace.activations[layer]
         if a_prev.shape[-1] != model.weights[layer].shape[-2]:
             raise ValueError("trace does not match model shapes")
-        np.matmul(a_prev.mT, delta, out=weight_grads[layer])
+        np.matmul(a_prev.swapaxes(-1, -2), delta, out=weight_grads[layer])
         delta.sum(axis=-2, out=bias_grads[layer])
         if layer > 0:
             # d loss / d activations of the layer's input; becomes the next delta
-            da = np.matmul(delta, model.weights[layer].mT, out=da_bufs[layer - 1])
+            da = np.matmul(
+                delta, model.weights[layer].swapaxes(-1, -2), out=da_bufs[layer - 1]
+            )
             mask = trace.dropout_masks[layer - 1]
             if mask is not None:
                 da *= mask
