@@ -393,9 +393,13 @@ def backward(
         delta.sum(axis=-2, out=bias_grads[layer])
         if layer > 0:
             # d loss / d activations of the layer's input; becomes the next delta
-            da = np.matmul(
-                delta, model.weights[layer].swapaxes(-1, -2), out=da_bufs[layer - 1]
-            )
+            w_t = model.weights[layer].swapaxes(-1, -2)
+            if w_t.shape[-2] == 1:
+                # one output column: an outer product, which a broadcast multiply
+                # does without BLAS's inner-dimension-1 gemm
+                da = np.multiply(delta, w_t, out=da_bufs[layer - 1])
+            else:
+                da = np.matmul(delta, w_t, out=da_bufs[layer - 1])
             mask = trace.dropout_masks[layer - 1]
             if mask is not None:
                 da *= mask

@@ -107,6 +107,12 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    #: two buffers the update is computed in, so a step allocates no temporaries
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.exp_avg)
+        self.scratch = (np.empty(shape), np.empty(shape))
 
     @classmethod
     def zeros(cls, n: int, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
@@ -133,16 +139,23 @@ def adam_step(
         raise ValueError(f"lr must be > 0, got {lr}")
     if not params.flags.writeable:
         raise ValueError("params must be writable; the step updates them in place")
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient; step rejected")
     state.step += 1
+    # each line is one operation of lr * m_hat / (sqrt(v_hat) + eps), in that order
+    s, t = state.scratch
     state.exp_avg *= state.beta1
-    state.exp_avg += (1.0 - state.beta1) * grads
+    state.exp_avg += np.multiply(grads, 1.0 - state.beta1, out=s)
     state.exp_avg_sq *= state.beta2
-    state.exp_avg_sq += (1.0 - state.beta2) * grads * grads
-    m_hat = state.exp_avg / (1.0 - state.beta1**state.step)
-    v_hat = state.exp_avg_sq / (1.0 - state.beta2**state.step)
-    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(grads, 1.0 - state.beta2, out=s)
+    state.exp_avg_sq += np.multiply(s, grads, out=s)
+    np.divide(state.exp_avg, 1.0 - state.beta1**state.step, out=s)  # m_hat
+    s *= lr
+    np.divide(state.exp_avg_sq, 1.0 - state.beta2**state.step, out=t)  # v_hat
+    np.sqrt(t, out=t)
+    t += state.eps
+    s /= t
+    params -= s
     return params, state
 
 
