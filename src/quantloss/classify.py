@@ -24,9 +24,10 @@ import numpy as np
 from .losses import quantile_crossing_grad, quantile_crossing_penalty
 from .network import LayerSpec, MLPModel, Workspace, backward, forward, init_model, stack_models
 from .optim import AdamState, adam_step
-from .secant_dist import AsymmetricHSD
+from .secant_dist import QUARTER_PI, AsymmetricHSD
 
-PROB_CLAMP = 1e-12
+#: |z| at which e^{-|z|} is held in ``sbqc_loss``; the rest of |z| is added in log space
+TAIL_CAP = 700.0
 
 
 @dataclass(frozen=True)
@@ -44,18 +45,25 @@ class SBQCSpec:
 
 
 def predict_prob(z, tau):
-    """P(y = 1) for a latent z: 1 - F_tau(z).  Threshold 0.5 gives the label.
+    """P(y = 1) for a latent z: 1 - F_tau(z), exact in both tails.
 
-    A vector of levels broadcasts along the last axis of z.
+    Threshold 0.5 gives the label.  A vector of levels broadcasts along the
+    last axis of z.
     """
-    return 1.0 - AsymmetricHSD(tau).cdf(z)
+    return AsymmetricHSD(tau).cdf(z, upper=True)
 
 
 def sbqc_loss(y, z, tau):
     """Negative log-likelihood of a binary label under p = 1 - F_tau(z).
 
-    Probabilities are clamped into [1e-12, 1 - 1e-12] before the log; the
-    gradient is taken through the distribution function by the chain rule.
+    Tail-exact, with no clamp.  The label's probability is either the tail
+    t = w arctan(e^{-|z|}) / (pi/4) of z's side of 0 (w = tau left of 0,
+    1 - tau from 0 on) or 1 - t.  On the tail side the value is -log t, taken
+    as -log(w arctan(e^{-c}) / (pi/4)) + (|z| - c) with c = min(|z|, 700), so
+    it keeps growing like |z|, and the slope is sech(z) / (2 arctan e^{-|z|})
+    = u / (a (1 + u^2)) with u = e^{-c}, a = arctan(u), which tends to 1.  On
+    the other side the value is -log1p(-t) and the slope pdf(z) / (1 - t).
+    At z = 0 both sides use the density's right-hand value.
     Accepts scalars or arrays that broadcast; returns (value, grad_z).  A
     vector of levels broadcasts along the last axis of z, one level per
     column, with each element computed as with its level alone.
@@ -63,13 +71,22 @@ def sbqc_loss(y, z, tau):
     dist = AsymmetricHSD(tau)
     y_arr = np.asarray(y, dtype=float)
     z_arr = np.asarray(z, dtype=float)
-    if not np.all((y_arr == 0.0) | (y_arr == 1.0)):
+    positive = y_arr == 1.0
+    if not (positive | (y_arr == 0.0)).all():
         raise ValueError("labels must lie in {0, 1}")
-    if not np.all(np.isfinite(z_arr)):
+    if not np.isfinite(z_arr).all():
         raise ValueError("latent values must be finite")
-    p = np.clip(1.0 - dist.cdf(z_arr), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = -(y_arr * np.log(p) + (1.0 - y_arr) * np.log1p(-p))
-    grad = (y_arr / p - (1.0 - y_arr) / (1.0 - p)) * dist.pdf(z_arr)
+    right = z_arr >= 0.0
+    abs_z = np.abs(z_arr)
+    capped = np.minimum(abs_z, TAIL_CAP)
+    u = np.exp(-capped)
+    a = np.arctan(u)
+    tail = np.where(right, 1.0 - dist.tau, dist.tau) * (a / QUARTER_PI)
+    # the label's probability is the tail for y = 1 right of 0 and y = 0 left of it
+    in_tail = right == positive
+    value = np.where(in_tail, (abs_z - capped) - np.log(tail), -np.log1p(-tail))
+    slope = np.where(in_tail, u / (a * (1.0 + u * u)), dist.pdf(z_arr) / (1.0 - tail))
+    grad = np.where(positive, slope, -slope)
     if value.ndim == 0:
         return float(value), float(grad)
     return value, grad

@@ -2,8 +2,10 @@
 
 Density (2/pi) sech(x) [tau 1{x<0} + (1-tau) 1{x>=0}], so the quantile marker
 tau is exactly the mass left of zero: cdf(0) = tau.  The distribution function
-uses arctan(tanh(x/2)) on both half-lines (the form the density integrates to;
-it is bounded and makes F continuous with limits 0 and 1).
+is taken in closed form on each half-line: the mass beyond x on its own side
+of zero is w arctan(e^{-|x|}) / (pi/4), with w = tau left of zero and 1 - tau
+right of it (the Gudermannian form of the integrated density).  Neither tail
+is formed as 1 minus a number near 1, so both stay exact far out.
 
 ``tau`` may also be a vector of levels, one distribution per level: it
 broadcasts along the last axis of x, and each element's arithmetic is the
@@ -16,6 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+#: arctan(1), which numpy rounds to exactly this; a tail divided by it is its
+#: weight at 0, so cdf(0) = tau and 1 - cdf(0) = 1 - tau hold exactly
+QUARTER_PI = math.pi / 4.0
 
 
 def sech(x):
@@ -54,20 +60,26 @@ class AsymmetricHSD:
     def pdf(self, x):
         """Density at x; symmetric about 0 when tau = 0.5."""
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("pdf requires finite x")
         weight = np.where(x < 0, self.tau, 1.0 - self.tau)
         out = (2.0 / math.pi) * sech(x) * weight
         return float(out) if out.ndim == 0 else out
 
-    def cdf(self, x):
-        """Distribution function; accepts +-inf, clamps rounding drift into [0, 1]."""
+    def cdf(self, x, upper: bool = False):
+        """Distribution function F(x), or the upper tail 1 - F(x) with ``upper``.
+
+        Closed form on each side of 0 (see the module docstring), with no
+        clamp: the side's own tail is exact down to underflow, and the other
+        side is 1 minus it.  x = 0 takes the tau side, so cdf(0) = tau
+        exactly.  Accepts +-inf: cdf(-inf) = 0 and cdf(inf) = 1 exactly.
+        """
         x = np.asarray(x, dtype=float)
-        if np.any(np.isnan(x)):
+        if np.isnan(x).any():
             raise ValueError("cdf requires non-NaN x")
-        g = np.arctan(np.tanh(x / 2.0))
-        scale = np.where(x <= 0, 4.0 * self.tau, 4.0 * (1.0 - self.tau)) / math.pi
-        out = np.clip(self.tau + scale * g, 0.0, 1.0)
+        lower = x <= 0
+        tail = np.where(lower, self.tau, 1.0 - self.tau) * (np.arctan(np.exp(-np.abs(x))) / QUARTER_PI)
+        out = np.where(lower == upper, 1.0 - tail, tail)
         return float(out) if out.ndim == 0 else out
 
     def inv_cdf(self, p):

@@ -287,6 +287,22 @@ def check_sbqc_nll_identity(seed: int = 0) -> PropertyResult:
     return PropertyResult("classify.nll_identity", worst, 1e-12, worst <= 1e-12)
 
 
+def check_sbqc_tail_slope() -> PropertyResult:
+    """Slope of the loss on the tail side far out: it tends to 1.
+
+    The label's probability is the tail there (y = 1 at +z, y = 0 at -z), so
+    the loss grows like |z| with slope sech(z) / (2 arctan e^{-|z|}) -> 1.
+    A clamped probability would freeze the loss and let the slope fall to 0.
+    """
+    z = np.array([30.0, 50.0, 100.0, 1e3])
+    worst = 0.0
+    for tau in SBQC_TAUS:
+        _, up = classify.sbqc_loss(1.0, z, tau)
+        _, down = classify.sbqc_loss(0.0, -z, tau)
+        worst = max(worst, float(np.max(np.abs(up - 1.0))), float(np.max(np.abs(down + 1.0))))
+    return PropertyResult("classify.tail_slope", worst, 1e-9, worst <= 1e-9)
+
+
 def check_sbqc_tau_half_is_bce(seed: int = 0) -> PropertyResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -437,6 +453,7 @@ def run_all(seed: int = 0) -> list[PropertyResult]:
         check_sbqc_gradients(seed),
         check_sbqc_calibration(),
         check_sbqc_nll_identity(seed),
+        check_sbqc_tail_slope(),
         check_sbqc_tau_half_is_bce(seed),
         check_regression_gradient_bound(seed),
         check_lbfgs_monotonic(seed),

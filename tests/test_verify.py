@@ -1,8 +1,13 @@
 """Property-suite plumbing: margins, expected-failure semantics, full run."""
 
+import math
 from pathlib import Path
 
-from quantloss.verify import PropertyResult, run_all, violations
+import numpy as np
+
+from quantloss import classify
+from quantloss.secant_dist import AsymmetricHSD
+from quantloss.verify import PropertyResult, check_sbqc_tail_slope, run_all, violations
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -41,6 +46,31 @@ class TestFullSuite:
         assert len(known) == 1
         assert known[0].name == "optim.sbqc_slope[tau=0.5]"
         assert not known[0].passed
+
+
+class TestTailSlope:
+    @staticmethod
+    def _clamped_sbqc_loss(y, z, tau):
+        """The earlier kernel: p = 1 - F(z) clamped into [1e-12, 1 - 1e-12]."""
+        dist = AsymmetricHSD(tau)
+        y, z = np.asarray(y, float), np.asarray(z, float)
+        scale = np.where(z <= 0, 4.0 * tau, 4.0 * (1.0 - tau)) / math.pi
+        F = np.clip(tau + scale * np.arctan(np.tanh(z / 2.0)), 0.0, 1.0)
+        p = np.clip(1.0 - F, 1e-12, 1.0 - 1e-12)
+        value = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+        return value, (y / p - (1.0 - y) / (1.0 - p)) * dist.pdf(z)
+
+    def test_passes_on_the_tail_exact_kernel(self):
+        result = check_sbqc_tail_slope()
+        assert result.name == "classify.tail_slope"
+        assert result.passed and result.measured <= 1e-9
+
+    def test_fails_on_a_clamped_probability(self, monkeypatch):
+        monkeypatch.setattr(classify, "sbqc_loss", self._clamped_sbqc_loss)
+        result = check_sbqc_tail_slope()
+        assert not result.passed
+        # the clamped slope has collapsed to about 0 by z = 50
+        assert result.measured > 0.9
 
 
 class TestRepoArtifacts:
