@@ -63,7 +63,8 @@ def sbqc_loss(y, z, tau):
     it keeps growing like |z|, and the slope is sech(z) / (2 arctan e^{-|z|})
     = u / (a (1 + u^2)) with u = e^{-c}, a = arctan(u), which tends to 1.  On
     the other side the value is -log1p(-t) and the slope pdf(z) / (1 - t).
-    At z = 0 both sides use the density's right-hand value.
+    z = 0 counts as the right side, as in ``pdf``, so the slope there is the
+    right-hand derivative.
     Accepts scalars or arrays that broadcast; returns (value, grad_z).  A
     vector of levels broadcasts along the last axis of z, one level per
     column, with each element computed as with its level alone.
@@ -104,8 +105,10 @@ def sbqc_batch_loss(y, z, tau) -> tuple[float, np.ndarray]:
     m = z.shape[0]
     if np.ndim(tau) == 0:
         return float(np.mean(value)), grad / m
-    # one contiguous row per level, so each mean sums in a single level's order
-    return sum(np.ascontiguousarray(value.T).mean(axis=1).tolist()), grad / m
+    # one contiguous row per level, so each sum runs in a single level's order,
+    # and dividing by m then gives what np.mean gives for that level alone
+    sums = np.add.reduce(np.ascontiguousarray(value.T), axis=1)
+    return sum((sums / m).tolist()), grad / m
 
 
 @dataclass

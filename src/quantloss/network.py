@@ -318,7 +318,7 @@ def forward(
         raise ValueError(
             f"batch must be (m, {model.spec.input_dim}), got {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite values in input batch")
     bufs = (workspace or Workspace(model.spec, model.heads))._buffers(model, x.shape[0])
     rng = np.random.default_rng(seed) if train_mode else None
@@ -395,9 +395,12 @@ def backward(
             # d loss / d activations of the layer's input; becomes the next delta
             w_t = model.weights[layer].swapaxes(-1, -2)
             if w_t.shape[-2] == 1:
-                # one output column: an outer product, which a broadcast multiply
-                # does without BLAS's inner-dimension-1 gemm
-                da = np.multiply(delta, w_t, out=da_bufs[layer - 1])
+                # one output column: an outer product, formed as the weight row
+                # copied to every row and scaled in place, without BLAS's
+                # inner-dimension-1 gemm
+                da = da_bufs[layer - 1]
+                np.copyto(da, w_t)
+                da *= delta
             else:
                 da = np.matmul(delta, w_t, out=da_bufs[layer - 1])
             mask = trace.dropout_masks[layer - 1]

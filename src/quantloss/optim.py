@@ -142,7 +142,7 @@ def adam_step(
     if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient; step rejected")
     state.step += 1
-    # each line is one operation of lr * m_hat / (sqrt(v_hat) + eps), in that order
+    # one operation per line, in the textbook formula's order, so the rounding is unchanged
     s, t = state.scratch
     state.exp_avg *= state.beta1
     state.exp_avg += np.multiply(grads, 1.0 - state.beta1, out=s)

@@ -51,9 +51,10 @@ class AsymmetricHSD:
             raise ValueError(
                 f"tau must be a level or a non-empty 1-d vector of levels, got shape {levels.shape}"
             )
-        bad = [float(t) for t in levels if not 0.0 < t < 1.0]
-        if bad:
-            raise ValueError(f"every tau must lie inside (0, 1), got {bad[0]} in {levels.tolist()}")
+        inside = (levels > 0.0) & (levels < 1.0)
+        if not inside.all():
+            bad = float(levels[~inside][0])
+            raise ValueError(f"every tau must lie inside (0, 1), got {bad} in {levels.tolist()}")
         levels.flags.writeable = False
         object.__setattr__(self, "tau", levels)
 
@@ -78,7 +79,8 @@ class AsymmetricHSD:
         if np.isnan(x).any():
             raise ValueError("cdf requires non-NaN x")
         lower = x <= 0
-        tail = np.where(lower, self.tau, 1.0 - self.tau) * (np.arctan(np.exp(-np.abs(x))) / QUARTER_PI)
+        ratio = np.arctan(np.exp(-np.abs(x))) / QUARTER_PI
+        tail = np.where(lower, self.tau, 1.0 - self.tau) * ratio
         out = np.where(lower == upper, 1.0 - tail, tail)
         return float(out) if out.ndim == 0 else out
 

@@ -364,3 +364,30 @@ class TestAdamInPlace:
         with pytest.raises(ValueError):
             adam_step(state, params, np.ones(2), lr=0.1)
         assert state.step == 0 and not state.exp_avg.any()
+
+    def test_step_allocates_no_parameter_sized_arrays(self):
+        import tracemalloc
+
+        n = 3003
+        rng = np.random.default_rng(2)
+        state = AdamState.zeros(n)
+        params, grads = rng.normal(size=n), rng.normal(size=n)
+        adam_step(state, params, grads, lr=0.01)
+        tracemalloc.start()
+        try:
+            adam_step(state, params, grads, lr=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's bool mask (n bytes) is the only array left
+        assert peak < 8 * n // 2
+
+    def test_many_steps_match_the_allocating_formula(self):
+        rng = np.random.default_rng(3)
+        state = AdamState.zeros(50, beta1=0.8, beta2=0.99, eps=1e-6)
+        params = rng.normal(size=50)
+        for step in range(300):
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=50)
+            want = self._ref_step(state, params.copy(), g, 0.05)
+            adam_step(state, params, g, lr=0.05)
+            np.testing.assert_array_equal(params, want)
