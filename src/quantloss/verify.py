@@ -283,7 +283,7 @@ def check_sbqc_nll_identity(seed: int = 0) -> PropertyResult:
         tau = float(rng.uniform(0.05, 0.95))
         v, _ = classify.sbqc_loss(1.0, z, tau)
         p = classify.predict_prob(z, tau)
-        worst = max(worst, abs(v - (-math.log(max(p, 1e-12)))))
+        worst = max(worst, abs(v + math.log(p)))
     return PropertyResult("classify.nll_identity", worst, 1e-12, worst <= 1e-12)
 
 
