@@ -93,18 +93,25 @@ def sbqc_loss(y, z, tau):
     return value, grad
 
 
-def sbqc_batch_loss(y, z, tau) -> tuple[float, np.ndarray]:
+def sbqc_batch_loss(y, z, tau) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean sBQC loss over a batch and its gradient with respect to z.
 
     With a vector of levels, z is an (m, levels) matrix, y broadcasts against
     it (an (m, 1) label column), and the value is the sum over levels of each
-    level's batch mean.  The gradient is elementwise divided by m either way.
+    level's batch mean.  With one level and a 2-d z, each row of z is its own
+    batch of m = z.shape[1] latents (y broadcasts against z), and the value
+    is one mean per row, each equal to ``np.mean`` of that row's losses
+    alone.  The gradient is elementwise divided by m in every case.
     """
     z = np.asarray(z, float)
     value, grad = sbqc_loss(np.asarray(y, float), z, tau)
-    m = z.shape[0]
     if np.ndim(tau) == 0:
+        m = z.shape[-1]
+        if z.ndim == 2:
+            # a contiguous row reduces in the order np.mean gives it alone
+            return np.add.reduce(value, axis=1) / m, grad / m
         return float(np.mean(value)), grad / m
+    m = z.shape[0]
     # one contiguous row per level, so each sum runs in a single level's order,
     # and dividing by m then gives what np.mean gives for that level alone
     sums = np.add.reduce(np.ascontiguousarray(value.T), axis=1)

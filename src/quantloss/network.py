@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -192,7 +192,7 @@ class ForwardTrace:
 
     ``activations[0]`` is the input batch and ``activations[-2]`` is the input
     to the final layer, whose largest magnitude over the batch (and over every
-    head of a ``ModelStack``) is ``k_z``.
+    head of a ``ModelStack``) is ``k_z``; ``head_k_z`` holds each head's own.
     Dropout masks already include the inverted-dropout 1/(1-p) scaling.
     """
 
@@ -205,6 +205,19 @@ class ForwardTrace:
         """Largest |activation| entering the final layer, computed on first access."""
         a = self.activations[-2]
         return float(np.max(np.abs(a))) if a.size else 0.0
+
+    @functools.cached_property
+    def head_k_z(self) -> np.ndarray:
+        """Each head's ``k_z``, the largest |activation| over its last two axes.
+
+        A (heads, m, width) final-layer input gives one value per head, each
+        equal to the ``k_z`` of that head's single-network trace; a single
+        network's (m, width) input gives a 0-d array.
+        """
+        a = self.activations[-2]
+        if a.shape[-2] == 0:
+            return np.zeros(a.shape[:-2])
+        return np.max(np.abs(a), axis=(-2, -1))
 
 
 class _RowBuffers:
@@ -261,7 +274,9 @@ class Workspace:
     the next ``forward`` on this workspace with the same row count, and
     gradients (``grad`` and the per-layer views ``backward`` returns) until
     the next ``backward`` on it.  Copy what must outlive that.  A workspace
-    for a ``ModelStack`` is built with its head count.
+    for a ``ModelStack`` is built with its head count; its buffers have a
+    leading head axis and serve a batch shared by every head, (m, d), and
+    one batch per head, (heads, m, d), alike.
     """
 
     def __init__(self, spec: LayerSpec, heads: int | None = None):
@@ -302,7 +317,7 @@ def forward(
     model: MLPModel | ModelStack,
     batch: np.ndarray,
     train_mode: bool = False,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the batch through the network, recording the trace.
@@ -311,17 +326,27 @@ def forward(
     with inverted scaling so inference needs no rescale.  The outputs and the
     trace live in ``workspace``'s buffers (see ``Workspace`` for how long they
     stay valid); without one, a fresh workspace makes them new arrays.  A
-    ``ModelStack`` runs every head on the batch; its outputs are (heads, m, out).
+    ``ModelStack`` runs every head on an (m, d) batch, or head j on row j of a
+    (heads, m, d) batch; its outputs are (heads, m, out).  With dropout,
+    ``seed`` may be one seed per head: head j's masks are then drawn by its
+    own generator into its own slice, so they equal its single-network masks.
     """
     x = np.asarray(batch, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
-        raise ValueError(
-            f"batch must be (m, {model.spec.input_dim}), got {x.shape}"
-        )
+    heads, d = model.heads, model.spec.input_dim
+    if x.ndim not in (2, 3) or x.shape[-1] != d or (x.ndim == 3 and x.shape[0] != heads):
+        expected = f"(m, {d})" if heads is None else f"(m, {d}) or ({heads}, m, {d})"
+        raise ValueError(f"batch must be {expected}, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in input batch")
-    bufs = (workspace or Workspace(model.spec, model.heads))._buffers(model, x.shape[0])
-    rng = np.random.default_rng(seed) if train_mode else None
+    bufs = (workspace or Workspace(model.spec, heads))._buffers(model, x.shape[-2])
+    rng = head_rngs = None
+    if train_mode and np.ndim(seed) == 0:
+        rng = np.random.default_rng(seed)
+    elif train_mode:
+        if heads is None or len(seed) != heads:
+            expected = "one seed" if heads is None else f"one seed or {heads}, one per head"
+            raise ValueError(f"dropout needs {expected}, got {len(seed)} seeds")
+        head_rngs = [np.random.default_rng(s) for s in seed]
     kind = model.spec.activation
     last = len(model.weights) - 1
     pre, acts, masks = [], [x], []
@@ -342,7 +367,12 @@ def forward(
                 a = z
             p = model.spec.dropout[layer]
             if train_mode and p > 0.0:
-                mask = rng.random(out=bufs.mask[layer])
+                mask = bufs.mask[layer]
+                if rng is not None:
+                    rng.random(out=mask)
+                else:
+                    for head_rng, head_mask in zip(head_rngs, mask):
+                        head_rng.random(out=head_mask)
                 np.greater_equal(mask, p, out=mask)
                 mask /= 1.0 - p
                 a = np.multiply(a, mask, out=bufs.act[layer])

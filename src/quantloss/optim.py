@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,24 +119,47 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0, beta1, beta2, eps)
 
 
+def _head_rates(lr, size: int) -> np.ndarray:
+    """A checked vector of per-head rates, as a (heads, 1) column."""
+    rates = np.asarray(lr, dtype=float)
+    if rates.ndim != 1 or rates.size == 0 or size % rates.size:
+        raise ValueError(
+            f"lr must be a scalar or one rate per equal head slice of {size} params, "
+            f"got shape {rates.shape}"
+        )
+    bad = np.flatnonzero(~(np.isfinite(rates) & (rates > 0)))
+    if bad.size:
+        raise ValueError(f"lr[{bad[0]}] must be finite and > 0, got {rates[bad[0]]}")
+    return rates[:, None]
+
+
 def adam_step(
-    state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
+    state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float | Sequence[float] | np.ndarray
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update of ``params`` in place; returns (params, state).
 
     A float64 ``params`` array is updated in place and returned, so a buffer
     such as ``MLPModel.params`` holds the new values; any other input is
     converted to a new float64 array, which is updated and returned.  The
-    state is mutated in place too.  Every check runs before anything is
-    written: mismatched shapes, a non-positive lr, a read-only ``params`` or a
-    non-finite gradient raise ValueError and leave params and state unchanged.
+    state is mutated in place too.  ``lr`` is one rate, or a vector of one
+    rate per head: ``params`` is then read as that many equal head slices
+    (the layout of ``ModelStack.params``), and head j's slice steps exactly
+    as it would alone at rate ``lr[j]``.  Every check runs before anything is
+    written: mismatched shapes, a non-positive lr (or a per-head rate that is
+    not finite and positive, or a vector that does not divide ``params``), a
+    read-only ``params`` or a non-finite gradient raise ValueError and leave
+    params and state unchanged.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape or params.shape != state.exp_avg.shape:
         raise ValueError("params, grads and state must share one shape")
-    if not lr > 0:
-        raise ValueError(f"lr must be > 0, got {lr}")
+    if np.ndim(lr) == 0:
+        if not lr > 0:
+            raise ValueError(f"lr must be > 0, got {lr}")
+        rates = None
+    else:
+        rates = _head_rates(lr, params.size)
     if not params.flags.writeable:
         raise ValueError("params must be writable; the step updates them in place")
     if not np.isfinite(grads).all():
@@ -150,7 +173,11 @@ def adam_step(
     np.multiply(grads, 1.0 - state.beta2, out=s)
     state.exp_avg_sq += np.multiply(s, grads, out=s)
     np.divide(state.exp_avg, 1.0 - state.beta1**state.step, out=s)  # m_hat
-    s *= lr
+    if rates is None:
+        s *= lr
+    else:
+        per_head = s.reshape(rates.shape[0], -1)
+        per_head *= rates
     np.divide(state.exp_avg_sq, 1.0 - state.beta2**state.step, out=t)  # v_hat
     np.sqrt(t, out=t)
     t += state.eps

@@ -8,7 +8,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .losses import LossSpec, batch_loss
 from .metrics import ConfusionMatrix, classification_metrics, rmse
 from .network import (
     LayerSpec,
+    ModelStack,
     Workspace,
     activation_at_zero,
     backward,
@@ -25,6 +26,7 @@ from .network import (
     forward,
     init_model,
     set_flat_params,
+    stack_models,
 )
 from .optim import (
     AdamState,
@@ -284,54 +286,93 @@ def _regression_layer_constant(config: TrainConfig, ctx: LipschitzContext) -> fl
     return max(k, 1e-12)
 
 
+class _RunLog:
+    """One run's epoch traces and its best-validation epoch, while it trains."""
+
+    def __init__(self, higher_better: bool, lalr: bool):
+        self.higher_better = higher_better
+        self.train_loss: list[float] = []
+        self.val_loss: list[float] = []
+        self.val_metric: list[float] = []
+        self.lr_trace: list[float] | None = [] if lalr else None
+        self.k_trace: list[float] | None = [] if lalr else None
+        self.best_metric = -math.inf if higher_better else math.inf
+        self.best_epoch = -1
+        self.best_params: np.ndarray | None = None
+
+    def record(self, tl: float, vl: float, vm: float, params: np.ndarray) -> None:
+        """Append one epoch; keep a copy of ``params`` if its metric is the best yet."""
+        self.train_loss.append(tl)
+        self.val_loss.append(vl)
+        self.val_metric.append(vm)
+        if (vm > self.best_metric) if self.higher_better else (vm < self.best_metric):
+            self.best_metric = vm
+            self.best_epoch = len(self.val_metric) - 1
+            self.best_params = params.copy()
+
+    def finish(self, params: np.ndarray, diverged: bool, line_search_failures: int = 0) -> SingleRun:
+        """The run's record, ending at ``params``; with no epoch recorded, they are its best."""
+        best_epoch, best_params = self.best_epoch, self.best_params
+        if best_epoch < 0:
+            best_epoch, best_params = 0, params.copy()
+        return SingleRun(
+            train_loss=self.train_loss,
+            val_loss=self.val_loss,
+            val_metric=self.val_metric,
+            lr_trace=self.lr_trace,
+            k_trace=self.k_trace,
+            best_epoch=best_epoch,
+            best_params=best_params,
+            final_params=params,
+            diverged=diverged,
+            line_search_failures=line_search_failures,
+        )
+
+
 def train_single(
     config: TrainConfig,
     X_train: np.ndarray,
     y_train: np.ndarray,
     X_val: np.ndarray,
     y_val: np.ndarray,
-    seed: int,
-) -> SingleRun:
-    """Train one network; returns loss/metric traces and best-validation params."""
+    seed: int | Sequence[int],
+) -> SingleRun | list[SingleRun]:
+    """Train one network per seed; returns loss/metric traces and best-validation params.
+
+    ``seed`` is one seed, which returns one ``SingleRun``, or a list or tuple
+    of seeds, which returns one ``SingleRun`` per seed, each equal, field for
+    field and bit for bit, to the run that seed trains alone.  Adam and
+    LALR-Adam train the runs together as one ``ModelStack`` (see
+    ``_train_adam``); L-BFGS trains them one after another, because its line
+    search is per run.
+    """
+    seeds = [int(seed)] if np.ndim(seed) == 0 else [int(s) for s in seed]
+    if not seeds:
+        raise ValueError("need at least one seed")
     out_dim = 1 if y_train.ndim == 1 else y_train.shape[1]
     if config.task == "classification":
         out_dim = 1
     spec = _layer_spec(config, X_train.shape[1], out_dim)
+    if config.optimizer.kind == "lbfgs":
+        runs = [_train_lbfgs(config, spec, X_train, y_train, X_val, y_val, s) for s in seeds]
+    else:
+        runs = _train_adam(config, spec, X_train, y_train, X_val, y_val, seeds)
+    return runs[0] if np.ndim(seed) == 0 else runs
+
+
+def _train_lbfgs(
+    config: TrainConfig, spec: LayerSpec,
+    X_train: np.ndarray, y_train: np.ndarray, X_val: np.ndarray, y_val: np.ndarray, seed: int,
+) -> SingleRun:
+    """Full-batch L-BFGS for one run; each accepted or rejected step is an epoch."""
     model = init_model(spec, seed)
     ws = Workspace(spec)
-    params = flatten_params(model)
+    log = _RunLog(config.task == "classification", lalr=False)
 
-    n = X_train.shape[0]
-    higher_better = config.task == "classification"
-    best_metric = -math.inf if higher_better else math.inf
-    best_epoch = -1
-    best_params = params.copy()
-    train_loss: list[float] = []
-    val_loss: list[float] = []
-    val_metric: list[float] = []
-    lalr = config.lr_policy == "lalr"
-    lr_trace: list[float] | None = [] if lalr else None
-    k_trace: list[float] | None = [] if lalr else None
-    diverged = False
-    ls_failures = 0
-
-    # the label-norm bound is the max row 2-norm across all training batches
-    y2 = y_train if y_train.ndim == 2 else y_train.reshape(-1, 1)
-    y_norm = float(np.max(np.linalg.norm(y2, axis=1))) if config.task == "regression" else 0.0
-    g0 = activation_at_zero("identity")  # output layer is linear
-
-    def evaluate_epoch(p: np.ndarray, tl: float | None = None) -> bool:
-        """Record the epoch traces; False when the model state is non-finite.
-
-        ``tl`` is the full training loss at ``p`` when the caller already has it.
-        """
-        nonlocal best_metric, best_epoch, best_params
+    def evaluate_epoch(p: np.ndarray, tl: float) -> bool:
+        """Record the epoch at ``p``, whose training loss is ``tl``; False when non-finite."""
         try:
-            if p is not model.params:
-                set_flat_params(model, p)
-            if tl is None:
-                out, _ = forward(model, X_train, workspace=ws)
-                tl = float(_loss_and_pred_grad(config, out, y_train)[0])
+            set_flat_params(model, p)
             out_val, _ = forward(model, X_val, workspace=ws)
             vl, _ = _loss_and_pred_grad(config, out_val, y_val)
             vm = _val_metric(config, out_val, y_val)
@@ -339,122 +380,224 @@ def train_single(
             return False
         if not (math.isfinite(tl) and math.isfinite(float(vl))):
             return False
-        train_loss.append(tl)
-        val_loss.append(float(vl))
-        val_metric.append(vm)
-        better = vm > best_metric if higher_better else vm < best_metric
-        if better:
-            best_metric = vm
-            best_epoch = len(val_metric) - 1
-            best_params = p.copy()
+        log.record(tl, float(vl), vm, p)
         return True
 
-    if config.optimizer.kind == "lbfgs":
-        mem = LBFGSMemory(m_hist=config.optimizer.m_hist)
+    # params stays the line search's own vector: lbfgs_step keeps x0 and
+    # the returned gradients across objective calls, so neither may alias
+    # the model's parameters or the workspace's gradient
+    def objective(p: np.ndarray) -> tuple[float, np.ndarray]:
+        set_flat_params(model, p)
+        out, trace = forward(model, X_train, workspace=ws)
+        value, pred_grad = _loss_and_pred_grad(config, out, y_train)
+        backward(model, trace, pred_grad, workspace=ws)
+        return float(value), ws.grad.copy()
 
-        # params stays the line search's own vector: lbfgs_step keeps x0 and
-        # the returned gradients across objective calls, so neither may alias
-        # the model's parameters or the workspace's gradient
-        def objective(p: np.ndarray) -> tuple[float, np.ndarray]:
-            set_flat_params(model, p)
-            out, trace = forward(model, X_train, workspace=ws)
-            value, pred_grad = _loss_and_pred_grad(config, out, y_train)
-            backward(model, trace, pred_grad, workspace=ws)
-            return float(value), ws.grad.copy()
-
-        cached = objective(params)
-        consecutive_failures = 0
-        for _ in range(config.epochs):
-            step = lbfgs_step(
-                objective, params, mem,
-                max_backtracks=config.optimizer.max_line_search,
-                value_grad=cached,
-            )
-            # step.value is the full training loss at the returned params;
-            # a rejected step returns the unchanged params and their value
-            if not step.accepted:
-                ls_failures += 1
-                consecutive_failures += 1
-                if not evaluate_epoch(params, step.value):
-                    diverged = True
-                    break
-                if consecutive_failures >= 2:
-                    # steepest descent could not improve either; converged
-                    break
-                cached = (step.value, step.grad)
-                continue
-            consecutive_failures = 0
-            params = step.params
-            cached = (step.value, step.grad)
+    params = flatten_params(model)
+    mem = LBFGSMemory(m_hist=config.optimizer.m_hist)
+    cached = objective(params)
+    diverged = False
+    ls_failures = consecutive_failures = 0
+    for _ in range(config.epochs):
+        step = lbfgs_step(
+            objective, params, mem,
+            max_backtracks=config.optimizer.max_line_search,
+            value_grad=cached,
+        )
+        # step.value is the full training loss at the returned params;
+        # a rejected step returns the unchanged params and their value
+        if not step.accepted:
+            ls_failures += 1
+            consecutive_failures += 1
             if not evaluate_epoch(params, step.value):
                 diverged = True
                 break
-    else:
-        params = model.params  # adam_step updates the model in place
-        state = AdamState.zeros(params.size, config.optimizer.beta1, config.optimizer.beta2)
-        batch_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C4]))
-        mask_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD809]))
-        use_dropout = any(p > 0 for p in spec.dropout)
-        for epoch in range(config.epochs):
-            order = batch_rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                xb, yb = X_train[idx], y_train[idx]
-                out, trace = forward(
-                    model, xb, train_mode=use_dropout,
-                    seed=int(mask_rng.integers(0, 2**63)) if use_dropout else 0,
-                    workspace=ws,
-                )
-                try:
-                    value, pred_grad = _loss_and_pred_grad(config, out, yb)
-                except ValueError:
-                    diverged = True
+            if consecutive_failures >= 2:
+                # steepest descent could not improve either; converged
+                break
+            cached = (step.value, step.grad)
+            continue
+        consecutive_failures = 0
+        params = step.params
+        cached = (step.value, step.grad)
+        if not evaluate_epoch(params, step.value):
+            diverged = True
+            break
+    return log.finish(params, diverged, ls_failures)
+
+
+def _stack_loss(
+    config: TrainConfig, outputs: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head mean batch loss and d loss / d outputs for (heads, m, out) outputs.
+
+    ``y`` is one batch of targets per head or one batch shared by every head
+    (regression targets with their output axis).  Head j's value is the mean
+    over its own row, as ``np.mean`` takes it alone, and the gradient is
+    divided by m, so each head's numbers equal its solo run's.
+    """
+    if config.task == "classification":
+        values, grad = sbqc_batch_loss(y, outputs[..., 0], config.sbqc_tau)
+        return values, grad[..., None]
+    targets = np.broadcast_to(y, outputs.shape)
+    per_example, grad = batch_loss(config.loss, outputs, targets, reduction="none")
+    m = outputs.shape[1]
+    return np.add.reduce(per_example, axis=1) / m, grad / m
+
+
+def _head_losses(
+    config: TrainConfig, outputs: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_stack_loss``, where a head whose loss raises ValueError alone gets the value NaN.
+
+    The gradient is None when a head's loss raised: callers drop every head
+    whose value is not finite and compute the others again.
+    """
+    try:
+        return _stack_loss(config, outputs, y)
+    except ValueError:
+        heads = outputs.shape[0]
+        y = np.broadcast_to(y, outputs.shape[:-1] if config.task == "classification" else outputs.shape)
+        values = np.full(heads, np.nan)
+        raised = False
+        for j in range(heads):
+            try:
+                values[j] = _stack_loss(config, outputs[j : j + 1], y[j : j + 1])[0][0]
+            except ValueError:
+                raised = True
+        if not raised:  # the failure belongs to no single head
+            raise
+        return values, None
+
+
+def _train_adam(
+    config: TrainConfig, spec: LayerSpec,
+    X_train: np.ndarray, y_train: np.ndarray, X_val: np.ndarray, y_val: np.ndarray, seeds: list[int],
+) -> list[SingleRun]:
+    """Adam or LALR-Adam for every seed at once, as one ``ModelStack``.
+
+    The runs share the training rows, so their batch boundaries line up, and
+    each batch makes one forward, one loss call, one backward and one
+    ``adam_step`` for all of them.  Each run keeps its own initialisation,
+    batch order, dropout masks, LALR rate and best epoch, and its slice of
+    every operation is the arithmetic of its solo run.  A run that diverges
+    (a loss that raises or is not finite, a non-finite gradient, a failed
+    epoch evaluation) is finished where its solo run stops, and its slices
+    of the parameters, the Adam moments and the workspace are dropped; the
+    others go on.
+    """
+    opt = config.optimizer
+    classification = config.task == "classification"
+    lalr = config.lr_policy == "lalr"
+    use_dropout = any(p > 0 for p in spec.dropout)
+    n = X_train.shape[0]
+    # the label-norm bound is the max row 2-norm across all training batches
+    y2 = y_train if y_train.ndim == 2 else y_train.reshape(-1, 1)
+    y_norm = 0.0 if classification else float(np.max(np.linalg.norm(y2, axis=1)))
+    g0 = activation_at_zero("identity")  # output layer is linear
+    tau = config.sbqc_tau if classification else None
+    # regression targets keep an output axis, so a gathered batch is (heads, m, out)
+    Y_train = y_train if classification else y2
+    Y_val = y_val if classification or y_val.ndim == 2 else y_val.reshape(-1, 1)
+
+    logs = [_RunLog(classification, lalr) for _ in seeds]
+    runs: list[SingleRun | None] = [None] * len(seeds)
+    batch_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xBA7C4])) for s in seeds]
+    mask_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xD809])) for s in seeds]
+    live = list(range(len(seeds)))  # the run each head of the stack trains
+    stack = stack_models([init_model(spec, s) for s in seeds])
+    state = AdamState.zeros(stack.params.size, opt.beta1, opt.beta2)
+    ws = Workspace(spec, stack.heads)
+
+    def drop(failed: np.ndarray) -> list[int]:
+        """Finish the flagged heads' runs as diverged and compact the stack;
+        returns the positions of the heads that stay."""
+        nonlocal stack, state, ws, live
+        heads = stack.params.reshape(len(live), -1)
+        for j in np.flatnonzero(failed):
+            runs[live[j]] = logs[live[j]].finish(heads[j].copy(), diverged=True)
+        keep = np.flatnonzero(~failed).tolist()
+        live = [live[j] for j in keep]
+        if keep:
+            stack = ModelStack(spec, tuple(stack.seeds[j] for j in keep), heads[keep].ravel())
+            state = AdamState(
+                state.exp_avg.reshape(len(failed), -1)[keep].ravel(),
+                state.exp_avg_sq.reshape(len(failed), -1)[keep].ravel(),
+                state.step, state.beta1, state.beta2, state.eps,
+            )
+            ws = Workspace(spec, len(keep))
+        return keep
+
+    for epoch in range(config.epochs):
+        order = np.stack([batch_rngs[i].permutation(n) for i in live])
+        for start in range(0, n, config.batch_size):
+            idx = order[:, start : start + config.batch_size]
+            xb, yb = X_train[idx], Y_train[idx]
+            mask_seeds = [int(mask_rngs[i].integers(0, 2**63)) for i in live] if use_dropout else 0
+            while True:
+                out, trace = forward(stack, xb, train_mode=use_dropout, seed=mask_seeds, workspace=ws)
+                values, pred_grad = _head_losses(config, out, yb)
+                failed = ~np.isfinite(values)
+                if not failed.any():
                     break
-                if not math.isfinite(value):
-                    diverged = True
-                    break
-                backward(model, trace, pred_grad, workspace=ws)
-                if lalr:
-                    ctx = LipschitzContext(
-                        m=len(idx), y_norm=y_norm, k_z=trace.k_z, g_at_zero=g0,
-                        tau=config.sbqc_tau if config.task == "classification" else None,
-                    )
+                # those runs stop before this step; the others run its forward again
+                keep = drop(failed)
+                if not keep:
+                    return runs
+                order, xb, yb = order[keep], xb[keep], yb[keep]
+                if use_dropout:
+                    mask_seeds = [mask_seeds[j] for j in keep]
+            backward(stack, trace, pred_grad, workspace=ws)
+            if lalr:
+                lr = []
+                for i, k_z in zip(live, trace.head_k_z.tolist()):
+                    ctx = LipschitzContext(m=xb.shape[1], y_norm=y_norm, k_z=k_z, g_at_zero=g0, tau=tau)
                     K = (
                         sbqc_layer_lipschitz_constant(ctx)
-                        if config.task == "classification"
+                        if classification
                         else _regression_layer_constant(config, ctx)
                     )
-                    lr = lalr_lr(K, config.optimizer.lr_min, config.optimizer.lr_max)
-                    k_trace.append(K)
-                    lr_trace.append(lr)
-                else:
-                    lr = _epoch_lr(config, epoch)
-                try:
-                    adam_step(state, params, ws.grad, lr)
-                except ValueError:
-                    diverged = True
-                    break
-            if diverged:
-                break
-            if not evaluate_epoch(params):
-                diverged = True
-                break
+                    lr.append(lalr_lr(K, opt.lr_min, opt.lr_max))
+                    logs[i].k_trace.append(K)
+                    logs[i].lr_trace.append(lr[-1])
+            else:
+                lr = _epoch_lr(config, epoch)
+            try:
+                adam_step(state, stack.params, ws.grad, lr)
+            except ValueError:
+                # runs with a non-finite gradient stop here; the others step without them
+                grads = ws.grad.reshape(len(live), -1)
+                failed = ~np.isfinite(grads).all(axis=1)
+                if not failed.any():
+                    failed[:] = True
+                keep = drop(failed)
+                if not keep:
+                    return runs
+                ws.grad[...] = grads[keep].ravel()
+                if lalr:
+                    lr = [lr[j] for j in keep]
+                adam_step(state, stack.params, ws.grad, lr)
+                order = order[keep]
 
-    if best_epoch < 0:
-        best_params = params.copy()
-        best_epoch = 0
-    return SingleRun(
-        train_loss=train_loss,
-        val_loss=val_loss,
-        val_metric=val_metric,
-        lr_trace=lr_trace,
-        k_trace=k_trace,
-        best_epoch=best_epoch,
-        best_params=best_params,
-        final_params=params,
-        diverged=diverged,
-        line_search_failures=ls_failures,
-    )
+        try:
+            out, _ = forward(stack, X_train, workspace=ws)
+            tl, _ = _head_losses(config, out, Y_train)
+            out_val, _ = forward(stack, X_val, workspace=ws)
+            vl, _ = _head_losses(config, out_val, Y_val)
+        except ValueError:  # a failure of the split itself fails every run alike
+            tl = vl = np.full(len(live), np.nan)
+        ok = np.isfinite(tl) & np.isfinite(vl)
+        heads = stack.params.reshape(len(live), -1)
+        for j in np.flatnonzero(ok):
+            vm = _val_metric(config, out_val[j], y_val)
+            logs[live[j]].record(float(tl[j]), float(vl[j]), vm, heads[j])
+        if not ok.all() and not drop(~ok):
+            return runs
+
+    heads = stack.params.reshape(len(live), -1)
+    for j, i in enumerate(live):
+        runs[i] = logs[i].finish(heads[j].copy(), diverged=False)
+    return runs
 
 
 @dataclass
@@ -560,36 +703,63 @@ def _init_worker(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> 
     _WORKER_INPUTS = _job_inputs(config, fold_plan, dataset)
 
 
-def _run_job(job: tuple[int, int], inputs: tuple | None = None) -> RunRecord:
-    """Train and score one (fold, repeat) run; a pool worker uses its own inputs."""
+def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple | None = None) -> list[RunRecord]:
+    """Train and score one fold's chunk of repeats; a pool worker uses its own inputs.
+
+    The fold's training split is standardized once for the chunk, and its
+    repeats are trained by one ``train_single`` call (one stack for Adam).
+    """
     config, fold_plan, dataset, val_ds = inputs or _WORKER_INPUTS
-    fold, repeat = job
+    fold, repeats = job
     train_idx, test_idx = fold_plan.folds[fold]
     tr = subset(dataset, train_idx)
     te = subset(dataset, test_idx)
     tr_std, stats = standardize_fit(tr)
     te_std = standardize_apply(stats, te)
     val_std = standardize_apply(stats, val_ds)
-    seed = derive_seed(config.seed, fold, repeat)
-    run = train_single(config, tr_std.X, tr_std.y, val_std.X, val_std.y, seed)
+    seeds = [derive_seed(config.seed, fold, repeat) for repeat in repeats]
+    runs = train_single(config, tr_std.X, tr_std.y, val_std.X, val_std.y, seeds)
     out_dim = 1 if dataset.y.ndim == 1 else dataset.y.shape[1]
     spec = _layer_spec(config, tr_std.X.shape[1], out_dim)
-    if run.diverged:
-        test_m: dict[str, float] = {}
-        val_m: dict[str, float] = {}
+    records = []
+    for repeat, run in zip(repeats, runs):
+        if run.diverged:
+            test_m: dict[str, float] = {}
+            val_m: dict[str, float] = {}
+        else:
+            test_m = _metrics_for(config, run.best_params, spec, te_std.X, te_std.y)
+            val_m = _metrics_for(config, run.best_params, spec, val_std.X, val_std.y)
+        records.append(RunRecord(
+            fold=fold, repeat=repeat, diverged=run.diverged, best_epoch=run.best_epoch,
+            train_loss=run.train_loss, val_loss=run.val_loss, val_metric=run.val_metric,
+            lr_trace=run.lr_trace, k_trace=run.k_trace,
+            test_metrics=test_m, val_metrics=val_m, best_params=run.best_params,
+        ))
+    return records
+
+
+def _jobs(config: TrainConfig, n_folds: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(fold, repeats) jobs, in (fold, repeat) order.
+
+    L-BFGS gets one job per run, because its line search is per run.  Adam
+    splits each fold's repeats into ceil(workers / folds) contiguous chunks,
+    each trained as one stack, so the folds alone fill the workers when
+    there are at least as many folds.
+    """
+    if config.optimizer.kind == "lbfgs":
+        chunks = config.repeats
     else:
-        test_m = _metrics_for(config, run.best_params, spec, te_std.X, te_std.y)
-        val_m = _metrics_for(config, run.best_params, spec, val_std.X, val_std.y)
-    return RunRecord(
-        fold=fold, repeat=repeat, diverged=run.diverged, best_epoch=run.best_epoch,
-        train_loss=run.train_loss, val_loss=run.val_loss, val_metric=run.val_metric,
-        lr_trace=run.lr_trace, k_trace=run.k_trace,
-        test_metrics=test_m, val_metrics=val_m, best_params=run.best_params,
-    )
+        workers = min(worker_count(), _usable_cpus())
+        chunks = min(config.repeats, math.ceil(workers / n_folds))
+    return [
+        (fold, tuple(part.tolist()))
+        for fold in range(n_folds)
+        for part in np.array_split(np.arange(config.repeats), chunks)
+    ]
 
 
 def _run_jobs_in_processes(
-    jobs: list[tuple[int, int]], n_workers: int,
+    jobs: list[tuple[int, tuple[int, ...]]], n_workers: int,
     config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset,
 ) -> list[RunRecord]:
     """Map ``_run_job`` over ``n_workers`` processes, each with one BLAS thread.
@@ -614,7 +784,7 @@ def _run_jobs_in_processes(
             n_workers, mp_context=ctx,
             initializer=_init_worker, initargs=(config, fold_plan, dataset),
         ) as pool:
-            return list(pool.map(_run_job, jobs))
+            return [rec for recs in pool.map(_run_job, jobs) for rec in recs]
     finally:
         if caller_blas is None:
             del os.environ["OPENBLAS_NUM_THREADS"]
@@ -625,21 +795,24 @@ def _run_jobs_in_processes(
 def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunReport:
     """Run the full folds x repeats protocol and aggregate the metrics.
 
-    Each (fold, repeat) run standardizes on its own training split, scores
-    the fold's test split and the shared validation slice with the
-    best-validation parameters, and is seeded independently so repeats and
-    folds can run in any order (or in worker processes, see
-    ``QUANTLOSS_THREADS``) with identical results.
+    Each (fold, repeat) run trains on its fold's standardized training
+    split, scores the fold's test split and the shared validation slice with
+    the best-validation parameters, and is seeded independently.  The work
+    goes out as jobs of one fold's contiguous chunk of repeats (see
+    ``_jobs``): a job standardizes once and trains its chunk as one stack,
+    and every run equals the run its seed trains alone, so results are
+    identical whatever the chunking, the job order or the number of worker
+    processes (``QUANTLOSS_THREADS``).
     """
     if config.task != dataset.task:
         raise ValueError(f"config task {config.task!r} does not match dataset task {dataset.task!r}")
-    jobs = [(f, r) for f in range(len(fold_plan.folds)) for r in range(config.repeats)]
+    jobs = _jobs(config, len(fold_plan.folds))
     n_workers = _pool_size(len(jobs))
     if n_workers > 1:
         records = _run_jobs_in_processes(jobs, n_workers, config, fold_plan, dataset)
     else:
         inputs = _job_inputs(config, fold_plan, dataset)
-        records = [_run_job(job, inputs) for job in jobs]
+        records = [rec for job in jobs for rec in _run_job(job, inputs)]
 
     names = sorted({k for r in records for k in r.test_metrics})
     aggregates: dict[str, dict[str, float | None]] = {}

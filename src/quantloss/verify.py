@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import classify, losses, network, optim, secant_dist
+from . import classify, data, losses, network, optim, secant_dist, trainer
 
 DIST_TAUS = (0.05, 0.25, 0.5, 0.75, 0.95)
 SBQC_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+#: the 8-row classification fixture of a source checkout
+TOY_CLASSIFICATION = Path(__file__).resolve().parents[2] / "data" / "fixtures" / "toy_classification.csv"
 
 
 @dataclass
@@ -434,6 +438,32 @@ def check_lbfgs_descent_directions(seed: int = 0, grads: int = 1000) -> Property
     return PropertyResult("optim.lbfgs_descent", worst, 0.0, worst < 0.0)
 
 
+def check_stacked_repeats(path=TOY_CLASSIFICATION) -> PropertyResult:
+    """Fields of a 2-run stack that differ from the same runs trained alone.
+
+    ``train_single`` trains the repeats of a fold as one ``ModelStack`` and
+    promises each run bit for bit what it gives alone.  That holds only if
+    this machine's BLAS multiplies each head of a batched matmul exactly as
+    it multiplies one matrix, so it is measured here: LALR-Adam with dropout
+    0.1 on the toy fixture, 2 epochs of 3-row batches (one a remainder).
+    """
+    ds = data.load_csv(path, "label")
+    config = trainer.TrainConfig(
+        task="classification", hidden_sizes=(16,), dropout=0.1,
+        optimizer=trainer.OptimizerSpec(kind="lalr-adam"), epochs=2, batch_size=3,
+    )
+    seeds = [11, 12]
+    stacked = trainer.train_single(config, ds.X, ds.y, ds.X, ds.y, seeds)
+    differ = 0
+    for seed, got in zip(seeds, stacked):
+        alone = trainer.train_single(config, ds.X, ds.y, ds.X, ds.y, seed)
+        for name, value in vars(alone).items():
+            other = getattr(got, name)
+            same = np.array_equal(other, value) if isinstance(value, np.ndarray) else other == value
+            differ += not same
+    return PropertyResult("trainer.stacked_repeats", differ, 0, differ == 0)
+
+
 def run_all(seed: int = 0) -> list[PropertyResult]:
     results = [
         check_loss_gradients(seed),
@@ -459,6 +489,7 @@ def run_all(seed: int = 0) -> list[PropertyResult]:
         check_lbfgs_monotonic(seed),
         check_lbfgs_curvature_filter(seed),
         check_lbfgs_descent_directions(seed),
+        check_stacked_repeats(),
     ]
     results.extend(sbqc_slope_check(tau, seed) for tau in SBQC_TAUS)
     return results
