@@ -30,20 +30,6 @@ from .secant_dist import QUARTER_PI, AsymmetricHSD
 TAIL_CAP = 700.0
 
 
-@dataclass(frozen=True)
-class SBQCSpec:
-    """Quantile marker plus the crossing-penalty weight for multi-quantile runs."""
-
-    tau: float
-    reg_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be inside (0, 1), got {self.tau}")
-        if self.reg_weight < 0.0:
-            raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
-
-
 def predict_prob(z, tau):
     """P(y = 1) for a latent z: 1 - F_tau(z), exact in both tails.
 

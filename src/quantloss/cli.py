@@ -15,18 +15,11 @@ import jsonschema
 import numpy as np
 
 from . import synthetic, verify
-from .classify import curve_to_csv, curve_to_json, multi_quantile_train, predict_prob, quantile_curve
+from .classify import curve_to_csv, curve_to_json, multi_quantile_train, quantile_curve
 from .data import load_csv, standardize_fit, stratified_kfold
-from .metrics import ConfusionMatrix, classification_metrics, rmse
-from .network import forward, load_checkpoint, save_checkpoint
-from .optim import LipschitzContext, lalr_lr, sbqc_layer_lipschitz_constant, sbqc_lipschitz_constant
-from .trainer import (
-    TrainConfig,
-    _layer_spec,
-    _regression_layer_constant,
-    epochs_to_threshold,
-    train,
-)
+from .network import forward, init_model, load_checkpoint, save_checkpoint
+from .optim import LipschitzContext, lalr_lr, sbqc_lipschitz_constant
+from .trainer import TrainConfig, _layer_constant, _layer_spec, _score, epochs_to_threshold, train
 
 
 class CliError(Exception):
@@ -133,12 +126,7 @@ def cmd_eval(args) -> int:
                            f"but the dataset has {X.shape[1]} features")
         X = (X - mean) / scale
     out, _ = forward(model, X)
-    if ds.task == "classification":
-        prob = predict_prob(out[:, 0], args.tau)
-        pred = (prob >= 0.5).astype(float)
-        m = classification_metrics(ConfusionMatrix.from_labels(ds.y, pred)).as_dict()
-    else:
-        m = {"rmse": rmse(out.ravel(), (ds.y if ds.y.ndim == 2 else ds.y.reshape(-1, 1)).ravel())}
+    m = _score(ds.task, args.tau, out, ds.y)
     for k, v in sorted(m.items()):
         print(f"{k}: {v:.6f}")
     if args.out:
@@ -151,41 +139,10 @@ def cmd_gradcheck(args) -> int:
     results = [
         verify.check_loss_gradients(args.seed),
         verify.check_sbqc_gradients(args.seed),
+        verify.check_backprop_gradients(args.seed),
     ]
-    results.append(_backprop_check(args.seed))
     _print_results(results)
     return 0 if all(r.passed for r in results) else 2
-
-
-def _backprop_check(seed: int) -> verify.PropertyResult:
-    from .network import LayerSpec, backward, flatten_arrays, flatten_params, init_model, set_flat_params
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for trial in range(5):
-        spec = LayerSpec(4, (3, 2), 1, activation=("relu", "tanh", "identity")[trial % 3])
-        model = init_model(spec, seed + trial)
-        X = rng.normal(size=(6, 4))
-        y = rng.normal(size=(6, 1))
-
-        def loss_of(flat):
-            set_flat_params(model, flat)
-            out, trace = forward(model, X)
-            return float(np.mean((out - y) ** 2)), trace, out
-
-        flat = flatten_params(model)
-        value, trace, out = loss_of(flat)
-        wg, bg = backward(model, trace, 2.0 * (out - y) / out.size)
-        g = flatten_arrays(wg, bg)
-        h = 1e-5
-        for k in range(flat.size):
-            e = np.zeros_like(flat)
-            e[k] = h
-            fp, _, _ = loss_of(flat + e)
-            fm, _, _ = loss_of(flat - e)
-            fd = (fp - fm) / (2 * h)
-            worst = max(worst, abs(g[k] - fd) / max(1.0, abs(fd)))
-    return verify.PropertyResult("network.backprop_fd", worst, 1e-5, worst <= 1e-5)
 
 
 def cmd_lipschitz(args) -> int:
@@ -200,24 +157,20 @@ def cmd_lipschitz(args) -> int:
         ds = _resolve_dataset(doc, args.dataset)
         config = TrainConfig.from_dict(doc)
         tr_std, _ = standardize_fit(ds)
-        from .network import init_model
-
         out_dim = 1 if ds.y.ndim == 1 else ds.y.shape[1]
         spec = _layer_spec(config, ds.X.shape[1], out_dim)
         model = init_model(spec, config.seed)
         batch = tr_std.X[: config.batch_size]
         yb = tr_std.y[: config.batch_size]
         _, trace = forward(model, batch)
-        y2 = yb if yb.ndim == 2 else yb.reshape(-1, 1)
-        y_norm = float(np.max(np.linalg.norm(y2, axis=1))) if config.task == "regression" else 0.0
-        ctx = LipschitzContext(m=batch.shape[0], y_norm=y_norm, k_z=trace.k_z,
-                               tau=config.sbqc_tau if config.task == "classification" else None)
-        if config.task == "regression":
-            k = _regression_layer_constant(config, ctx)
+        regression = config.task == "regression"
+        y_norm = float(np.max(np.linalg.norm(yb.reshape(len(yb), -1), axis=1))) if regression else 0.0
+        ctx = LipschitzContext(m=batch.shape[0], y_norm=y_norm, k_z=trace.k_z, tau=config.sbqc_tau)
+        k = _layer_constant(config, ctx)
+        if regression:
             print(f"regression layer constant ({config.loss.kind.value}, m={ctx.m}, "
                   f"||y||={ctx.y_norm:.4f}, K_z={ctx.k_z:.4f}): {k:.6g}")
         else:
-            k = sbqc_layer_lipschitz_constant(ctx)
             print(f"sbqc layer constant (tau={config.sbqc_tau:g}, K_z={ctx.k_z:.4f}): {k:.6g}")
         print(f"lalr lr: {lalr_lr(k, config.optimizer.lr_min, config.optimizer.lr_max):.6f}")
         printed = True
@@ -231,6 +184,10 @@ def cmd_quantiles(args) -> int:
     ds = _resolve_dataset(doc, args.dataset)
     if ds.task != "classification":
         raise CliError("quantile curves need a classification dataset")
+    n_features = ds.X.shape[1]
+    if not 0 <= args.feature < n_features:
+        raise CliError(f"--feature {args.feature} is out of range: the dataset has {n_features} "
+                       f"features, so it must lie in [0, {n_features - 1}]")
     sbqc = doc.get("sbqc", {})
     if args.tau_grid:
         grid = [float(t) for t in args.tau_grid.split(",")]

@@ -1,10 +1,11 @@
-"""Scalar loss family with exact derivatives, plus the quantile-crossing penalty.
+"""Loss family with exact derivatives, plus the quantile-crossing penalty.
 
 Residual convention, used everywhere in this package: ``r = prediction - target``.
-Scalar evaluators return derivatives with respect to the residual; because
-d r / d prediction = 1, these are also the per-example prediction gradients.
-``batch_loss`` applies the mean reduction over examples, so its gradient array
-is d(mean loss)/d(predictions).
+``_batch_value_grad`` is the one per-kind table of values and derivatives in
+r; since d r / d prediction = 1, these are also the per-example prediction
+gradients.  ``eval_loss`` is that table at one point, and ``batch_loss``
+applies the mean reduction over examples, so its gradient array is
+d(mean loss)/d(predictions).
 """
 
 from __future__ import annotations
@@ -94,39 +95,79 @@ def _sech_sq(x):
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def eval_loss(spec: LossSpec, residual: float) -> LossEval:
-    """Evaluate one loss family member at a scalar residual."""
-    r = float(residual)
-    if not math.isfinite(r):
-        raise ValueError(f"residual must be finite, got {residual}")
+def _batch_value_grad(spec: LossSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise (value, d value / d r) for a residual array."""
     k = spec.kind
     if k is LossKind.LOG_COSH:
         u = r / spec.h
-        return LossEval(
-            value=float(log_cosh(u)),
-            grad=math.tanh(u) / spec.h,
-            curvature=float(_sech_sq(u)) / spec.h**2,
-        )
+        return log_cosh(u), np.tanh(u) / spec.h
     if k is LossKind.TILTED_LOG_COSH:
-        return tilted_log_cosh(r, spec.tau)
+        w = np.where(r >= 0, spec.tau, 1.0 - spec.tau)
+        return w * log_cosh(r), w * np.tanh(r)
     if k is LossKind.CHECK:
-        # r >= 0 uses the tau branch, matching the tilted case split
-        w = spec.tau if r >= 0 else spec.tau - 1.0
-        return LossEval(value=w * r, grad=w, curvature=None)
+        w = np.where(r >= 0, spec.tau, spec.tau - 1.0)
+        return w * r, w.astype(float)
     if k is LossKind.HUBER:
         d = spec.delta
-        if abs(r) < d:
-            return LossEval(value=0.5 * r * r, grad=r, curvature=1.0)
-        if abs(r) == d:
-            return LossEval(value=0.5 * r * r, grad=r, curvature=None)
-        return LossEval(value=d * (abs(r) - 0.5 * d), grad=d * math.copysign(1.0, r), curvature=0.0)
+        small = np.abs(r) <= d
+        value = np.where(small, 0.5 * r * r, d * (np.abs(r) - 0.5 * d))
+        grad = np.where(small, r, d * np.sign(r))
+        return value, grad
     if k is LossKind.MSE:
-        # no 1/2 factor; per-example loss is (p - t)^2
-        return LossEval(value=r * r, grad=2.0 * r, curvature=2.0)
+        return r * r, 2.0 * r
     if k is LossKind.MAE:
-        g = 0.0 if r == 0 else math.copysign(1.0, r)
-        return LossEval(value=abs(r), grad=g, curvature=None)
+        return np.abs(r), np.sign(r)
     raise ValueError(f"unknown loss kind {k!r}")
+
+
+def slope_bound(spec: LossSpec, residual_norm: float) -> float:
+    """Largest |d loss / d r| over r = +-residual_norm, in closed form.
+
+    The regression layer constant takes the loss slope where its derivation
+    evaluates it (outputs at g(0), so |r| = ||y||).  The check loss and MAE
+    give their largest subgradient magnitude at every norm.
+    """
+    k = spec.kind
+    if k is LossKind.LOG_COSH:
+        return math.tanh(residual_norm / spec.h) / spec.h
+    if k is LossKind.TILTED_LOG_COSH:
+        return max(spec.tau, 1.0 - spec.tau) * math.tanh(residual_norm)
+    if k is LossKind.CHECK:
+        return max(spec.tau, 1.0 - spec.tau)
+    if k is LossKind.HUBER:
+        return min(residual_norm, spec.delta)
+    if k is LossKind.MSE:
+        return 2.0 * residual_norm
+    if k is LossKind.MAE:
+        return 1.0
+    raise ValueError(f"unknown loss kind {k!r}")
+
+
+def eval_loss(spec: LossSpec, residual: float) -> LossEval:
+    """Evaluate one loss family member at a scalar residual.
+
+    The value and gradient are the batch table (``_batch_value_grad``) at one
+    point, so they equal ``batch_loss(..., reduction="none")`` bit for bit.
+    """
+    r = float(residual)
+    if not math.isfinite(r):
+        raise ValueError(f"residual must be finite, got {residual}")
+    value, grad = _batch_value_grad(spec, np.float64(r))
+    return LossEval(value=float(value), grad=float(grad), curvature=_curvature(spec, r))
+
+
+def _curvature(spec: LossSpec, r: float) -> float | None:
+    """d^2 loss / d r^2 at r, or None where the loss is not twice differentiable."""
+    k = spec.kind
+    if k is LossKind.LOG_COSH:
+        return float(_sech_sq(r / spec.h)) / spec.h**2
+    if k is LossKind.TILTED_LOG_COSH:
+        return (spec.tau if r >= 0 else 1.0 - spec.tau) * float(_sech_sq(r))
+    if k is LossKind.MSE:
+        return 2.0
+    if k is LossKind.HUBER and abs(r) != spec.delta:
+        return 1.0 if abs(r) < spec.delta else 0.0
+    return None  # MAE, check loss, Huber exactly at the knot
 
 
 def tilted_log_cosh(residual: float, tau: float) -> LossEval:
@@ -135,17 +176,7 @@ def tilted_log_cosh(residual: float, tau: float) -> LossEval:
     Smooth surrogate for the check loss; tau = 0.5 gives exactly half of the
     symmetric log-cosh.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be inside (0, 1), got {tau}")
-    r = float(residual)
-    if not math.isfinite(r):
-        raise ValueError(f"residual must be finite, got {residual}")
-    w = tau if r >= 0 else 1.0 - tau
-    return LossEval(
-        value=w * float(log_cosh(r)),
-        grad=w * math.tanh(r),
-        curvature=w * float(_sech_sq(r)),
-    )
+    return eval_loss(LossSpec(LossKind.TILTED_LOG_COSH, tau=tau), residual)
 
 
 def quantile_crossing_penalty(q) -> float:
@@ -172,31 +203,6 @@ def quantile_crossing_grad(q) -> np.ndarray:
     g[:, :-1] += crossing
     g[:, 1:] -= crossing
     return g
-
-
-def _batch_value_grad(spec: LossSpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise (value, d value / d r) for a residual array."""
-    k = spec.kind
-    if k is LossKind.LOG_COSH:
-        u = r / spec.h
-        return log_cosh(u), np.tanh(u) / spec.h
-    if k is LossKind.TILTED_LOG_COSH:
-        w = np.where(r >= 0, spec.tau, 1.0 - spec.tau)
-        return w * log_cosh(r), w * np.tanh(r)
-    if k is LossKind.CHECK:
-        w = np.where(r >= 0, spec.tau, spec.tau - 1.0)
-        return w * r, w.astype(float)
-    if k is LossKind.HUBER:
-        d = spec.delta
-        small = np.abs(r) <= d
-        value = np.where(small, 0.5 * r * r, d * (np.abs(r) - 0.5 * d))
-        grad = np.where(small, r, d * np.sign(r))
-        return value, grad
-    if k is LossKind.MSE:
-        return r * r, 2.0 * r
-    if k is LossKind.MAE:
-        return np.abs(r), np.sign(r)
-    raise ValueError(f"unknown loss kind {k!r}")
 
 
 def batch_loss(spec: LossSpec, predictions, targets, reduction: str = "mean"):

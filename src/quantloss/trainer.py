@@ -14,7 +14,7 @@ import numpy as np
 
 from .classify import predict_prob, sbqc_batch_loss
 from .data import Dataset, FoldPlan, standardize_apply, standardize_fit, subset
-from .losses import LossSpec, batch_loss
+from .losses import LossSpec, batch_loss, slope_bound
 from .metrics import ConfusionMatrix, classification_metrics, rmse
 from .network import (
     LayerSpec,
@@ -29,13 +29,13 @@ from .network import (
     stack_models,
 )
 from .optim import (
+    K_FLOOR,
     AdamState,
     LBFGSMemory,
     LipschitzContext,
     adam_step,
     lalr_lr,
     lbfgs_step,
-    regression_lipschitz_constant,
     sbqc_layer_lipschitz_constant,
 )
 
@@ -225,21 +225,25 @@ def _layer_spec(config: TrainConfig, input_dim: int, output_dim: int) -> LayerSp
 
 
 def _loss_and_pred_grad(config: TrainConfig, outputs: np.ndarray, y: np.ndarray):
+    """Mean batch loss and d loss / d outputs for (m, out) outputs; y holds one target per output."""
     if config.task == "classification":
         value, grad = sbqc_batch_loss(y, outputs[:, 0], config.sbqc_tau)
         return value, grad.reshape(-1, 1)
-    target = y if y.ndim == 2 else y.reshape(-1, 1)
-    return batch_loss(config.loss, outputs, target)
+    return batch_loss(config.loss, outputs, y.reshape(outputs.shape))
+
+
+def _score(task: str, tau: float, outputs: np.ndarray, y: np.ndarray) -> dict[str, float]:
+    """Metrics of (m, out) outputs against y: of the labels predict_prob >= 0.5, or the rmse."""
+    if task == "classification":
+        pred = (predict_prob(outputs[:, 0], tau) >= 0.5).astype(float)
+        return classification_metrics(ConfusionMatrix.from_labels(y, pred)).as_dict()
+    return {"rmse": rmse(outputs.ravel(), y.ravel())}
 
 
 def _val_metric(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> float:
-    if config.task == "classification":
-        prob = predict_prob(outputs[:, 0], config.sbqc_tau)
-        pred = (prob >= 0.5).astype(float)
-        cm = ConfusionMatrix.from_labels(y, pred)
-        return classification_metrics(cm).accuracy
-    target = y if y.ndim == 2 else y.reshape(-1, 1)
-    return rmse(outputs.ravel(), target.ravel())
+    """The metric that picks the best epoch: accuracy, or rmse for regression."""
+    scores = _score(config.task, config.sbqc_tau, outputs, y)
+    return scores["accuracy" if config.task == "classification" else "rmse"]
 
 
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
@@ -248,42 +252,17 @@ def _epoch_lr(config: TrainConfig, epoch: int) -> float:
     return config.optimizer.lr
 
 
-def _loss_slope_bound(loss: LossSpec, y_norm: float) -> float:
-    """Loss-gradient magnitude at the critical residual |r| = y_norm.
+def _layer_constant(config: TrainConfig, ctx: LipschitzContext) -> float:
+    """Per-batch final-layer constant K of the LALR rate, for either task.
 
-    Generalizes the log-cosh final-layer constant to the other regression
-    losses: it is the |d loss / d r| each loss attains where the layer
-    constant's derivation evaluates it (outputs at g(0), so r = -y).
+    Classification uses the sBQC constant.  Every regression kind uses
+    (1/m) s(|g(0) - ||y|||) K_z with s its loss's ``slope_bound``; at
+    log-cosh h = 1 that is ``regression_lipschitz_constant``.
     """
-    from .losses import LossKind
-
-    k = loss.kind
-    if k is LossKind.LOG_COSH:
-        return math.tanh(y_norm / loss.h) / loss.h
-    if k is LossKind.TILTED_LOG_COSH:
-        return max(loss.tau, 1.0 - loss.tau) * math.tanh(y_norm)
-    if k is LossKind.CHECK:
-        return max(loss.tau, 1.0 - loss.tau)
-    if k is LossKind.MAE:
-        return 1.0
-    if k is LossKind.HUBER:
-        return min(y_norm, loss.delta)
-    if k is LossKind.MSE:
-        return 2.0 * y_norm
-    raise ValueError(f"no slope bound for loss kind {k!r}")
-
-
-def _regression_layer_constant(config: TrainConfig, ctx: LipschitzContext) -> float:
-    """Per-batch layer constant for the configured regression loss.
-
-    Plain log-cosh uses the tanh-based formula verbatim; the other kinds use
-    the same (1/m) slope k_z structure with their own slope bound.
-    """
-    loss = config.loss
-    if loss.kind.value == "logcosh" and loss.h == 1.0:
-        return regression_lipschitz_constant(ctx)
-    k = (1.0 / ctx.m) * _loss_slope_bound(loss, abs(ctx.g_at_zero - ctx.y_norm)) * ctx.k_z
-    return max(k, 1e-12)
+    if config.task == "classification":
+        return sbqc_layer_lipschitz_constant(ctx)
+    k = (1.0 / ctx.m) * slope_bound(config.loss, abs(ctx.g_at_zero - ctx.y_norm)) * ctx.k_z
+    return max(k, K_FLOOR)
 
 
 class _RunLog:
@@ -349,9 +328,10 @@ def train_single(
     seeds = [int(seed)] if np.ndim(seed) == 0 else [int(s) for s in seed]
     if not seeds:
         raise ValueError("need at least one seed")
-    out_dim = 1 if y_train.ndim == 1 else y_train.shape[1]
-    if config.task == "classification":
-        out_dim = 1
+    out_dim = 1
+    if config.task == "regression":  # targets get their output axis: (m,) -> (m, 1)
+        y_train, y_val = y_train.reshape(len(y_train), -1), y_val.reshape(len(y_val), -1)
+        out_dim = y_train.shape[1]
     spec = _layer_spec(config, X_train.shape[1], out_dim)
     if config.optimizer.kind == "lbfgs":
         runs = [_train_lbfgs(config, spec, X_train, y_train, X_val, y_val, s) for s in seeds]
@@ -492,13 +472,8 @@ def _train_adam(
     use_dropout = any(p > 0 for p in spec.dropout)
     n = X_train.shape[0]
     # the label-norm bound is the max row 2-norm across all training batches
-    y2 = y_train if y_train.ndim == 2 else y_train.reshape(-1, 1)
-    y_norm = 0.0 if classification else float(np.max(np.linalg.norm(y2, axis=1)))
+    y_norm = 0.0 if classification else float(np.max(np.linalg.norm(y_train, axis=1)))
     g0 = activation_at_zero("identity")  # output layer is linear
-    tau = config.sbqc_tau if classification else None
-    # regression targets keep an output axis, so a gathered batch is (heads, m, out)
-    Y_train = y_train if classification else y2
-    Y_val = y_val if classification or y_val.ndim == 2 else y_val.reshape(-1, 1)
 
     logs = [_RunLog(classification, lalr) for _ in seeds]
     runs: list[SingleRun | None] = [None] * len(seeds)
@@ -532,7 +507,7 @@ def _train_adam(
         order = np.stack([batch_rngs[i].permutation(n) for i in live])
         for start in range(0, n, config.batch_size):
             idx = order[:, start : start + config.batch_size]
-            xb, yb = X_train[idx], Y_train[idx]
+            xb, yb = X_train[idx], y_train[idx]
             mask_seeds = [int(mask_rngs[i].integers(0, 2**63)) for i in live] if use_dropout else 0
             while True:
                 out, trace = forward(stack, xb, train_mode=use_dropout, seed=mask_seeds, workspace=ws)
@@ -551,12 +526,9 @@ def _train_adam(
             if lalr:
                 lr = []
                 for i, k_z in zip(live, trace.head_k_z.tolist()):
-                    ctx = LipschitzContext(m=xb.shape[1], y_norm=y_norm, k_z=k_z, g_at_zero=g0, tau=tau)
-                    K = (
-                        sbqc_layer_lipschitz_constant(ctx)
-                        if classification
-                        else _regression_layer_constant(config, ctx)
-                    )
+                    ctx = LipschitzContext(m=xb.shape[1], y_norm=y_norm, k_z=k_z, g_at_zero=g0,
+                                           tau=config.sbqc_tau)
+                    K = _layer_constant(config, ctx)
                     lr.append(lalr_lr(K, opt.lr_min, opt.lr_max))
                     logs[i].k_trace.append(K)
                     logs[i].lr_trace.append(lr[-1])
@@ -581,9 +553,9 @@ def _train_adam(
 
         try:
             out, _ = forward(stack, X_train, workspace=ws)
-            tl, _ = _head_losses(config, out, Y_train)
+            tl, _ = _head_losses(config, out, y_train)
             out_val, _ = forward(stack, X_val, workspace=ws)
-            vl, _ = _head_losses(config, out_val, Y_val)
+            vl, _ = _head_losses(config, out_val, y_val)
         except ValueError:  # a failure of the split itself fails every run alike
             tl = vl = np.full(len(live), np.nan)
         ok = np.isfinite(tl) & np.isfinite(vl)
@@ -680,13 +652,7 @@ def _metrics_for(config: TrainConfig, model_params, spec, X, y) -> dict[str, flo
     model = init_model(spec, 0)
     set_flat_params(model, model_params)
     out, _ = forward(model, X)
-    if config.task == "classification":
-        prob = predict_prob(out[:, 0], config.sbqc_tau)
-        pred = (prob >= 0.5).astype(float)
-        cm = ConfusionMatrix.from_labels(y, pred)
-        return classification_metrics(cm).as_dict()
-    target = y if y.ndim == 2 else y.reshape(-1, 1)
-    return {"rmse": rmse(out.ravel(), target.ravel())}
+    return _score(config.task, config.sbqc_tau, out, y)
 
 
 #: (config, fold_plan, dataset, validation slice) of the train() call this
@@ -814,21 +780,18 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
         inputs = _job_inputs(config, fold_plan, dataset)
         records = [rec for job in jobs for rec in _run_job(job, inputs)]
 
-    names = sorted({k for r in records for k in r.test_metrics})
-    aggregates: dict[str, dict[str, float | None]] = {}
-    for name in names:
-        vals = [r.test_metrics[name] for r in records if not r.diverged and name in r.test_metrics]
-        aggregates[name] = {
+    def aggregate(vals: list[float]) -> dict[str, float | None]:
+        return {
             "mean": float(np.mean(vals)) if vals else None,
             "std": float(np.std(vals, ddof=1)) if len(vals) >= 2 else None,
             "n": len(vals),
         }
-        vvals = [r.val_metrics[name] for r in records if not r.diverged and name in r.val_metrics]
-        aggregates["val_" + name] = {
-            "mean": float(np.mean(vvals)) if vvals else None,
-            "std": float(np.std(vvals, ddof=1)) if len(vvals) >= 2 else None,
-            "n": len(vvals),
-        }
+
+    done = [r for r in records if not r.diverged]
+    aggregates: dict[str, dict[str, float | None]] = {}
+    for name in sorted({k for r in records for k in r.test_metrics}):
+        aggregates[name] = aggregate([r.test_metrics[name] for r in done if name in r.test_metrics])
+        aggregates["val_" + name] = aggregate([r.val_metrics[name] for r in done if name in r.val_metrics])
 
     # the exported model is the best-validation run's best-epoch parameters
     best_model = None

@@ -8,7 +8,6 @@ import pytest
 
 from quantloss.classify import (
     MultiQuantileModel,
-    SBQCSpec,
     curve_to_csv,
     curve_to_json,
     head_seed,
@@ -78,12 +77,6 @@ class TestSbqcLoss:
             bce = -(y * math.log(p) + (1 - y) * math.log(1 - p))
             v, _ = sbqc_loss(y, z, 0.5)
             assert v == pytest.approx(bce, abs=1e-12)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SBQCSpec(tau=0.0)
-        with pytest.raises(ValueError):
-            SBQCSpec(tau=0.5, reg_weight=-1.0)
 
 
 class TestPredictProb:

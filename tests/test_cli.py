@@ -15,7 +15,7 @@ from quantloss.losses import LossKind
 from quantloss.network import forward, init_model
 from quantloss.optim import LipschitzContext
 from quantloss.synthetic import pima_like, wine_like
-from quantloss.trainer import TrainConfig, _layer_spec, _regression_layer_constant
+from quantloss.trainer import TrainConfig, _layer_constant, _layer_spec
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -262,7 +262,7 @@ class TestLipschitzCommand:
         batch, yb = ds.X[:32], ds.y[:32]
         _, trace = forward(model, batch)
         ctx = LipschitzContext(m=32, y_norm=float(np.max(np.abs(yb))), k_z=trace.k_z)
-        expected = _regression_layer_constant(config, ctx)
+        expected = _layer_constant(config, ctx)
         assert line.endswith(f"): {expected:.6g}")
 
 
@@ -299,6 +299,25 @@ class TestQuantilesCommand:
             "dataset": {"path": str(csv), "target": "quality"},
         }))
         assert main(["quantiles", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("feature", [3, 99, -1])
+    def test_feature_out_of_range_fails_before_training(self, feature, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking --feature")
+
+        monkeypatch.setattr("quantloss.cli.multi_quantile_train", no_training)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "task": "classification",
+            "dataset": {"path": str(REPO / "data" / "fixtures" / "toy_classification.csv"),
+                        "target": "label"},
+        }))
+        out = tmp_path / "q"
+        rc = main(["quantiles", "--config", str(cfg), "--out", str(out), "--feature", str(feature)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--feature {feature}" in err and "[0, 2]" in err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -102,7 +102,7 @@ def _reference_run(config, X, y, Xv, yv, seed) -> SingleRun:
                 ctx = LipschitzContext(m=len(idx), y_norm=y_norm, k_z=trace.k_z,
                                        tau=config.sbqc_tau if config.task == "classification" else None)
                 K = (sbqc_layer_lipschitz_constant(ctx) if config.task == "classification"
-                     else trainer._regression_layer_constant(config, ctx))
+                     else trainer._layer_constant(config, ctx))
                 lr = lalr_lr(K, config.optimizer.lr_min, config.optimizer.lr_max)
                 log.k_trace.append(K)
                 log.lr_trace.append(lr)
