@@ -40,8 +40,8 @@ def load_csv(
     """Load a numeric CSV into a Dataset.
 
     ``target`` names the target column (or gives its index when there is no
-    header).  Any unparseable cell raises an error naming its row and column;
-    row order is preserved.
+    header).  Any unparseable or non-finite cell (``nan``, ``inf``) raises an
+    error naming its row and column; row order is preserved.
     """
     try:
         f = open(path, "r", encoding="utf-8", newline="")
@@ -84,6 +84,10 @@ def load_csv(
                 raise ValueError(
                     f"{path}: row {i + 1}, column {names[j]!r}: cannot parse {cell!r}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: row {i + 1}, column {names[j]!r}: non-finite value {data_rows[i][j]!r}")
 
     y = values[:, t_idx]
     X = np.delete(values, t_idx, axis=1)

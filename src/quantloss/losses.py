@@ -28,12 +28,6 @@ class LossKind(str, enum.Enum):
     MAE = "mae"
 
 
-#: kinds with a derivative defined everywhere (check/MAE have subgradient kinks)
-SMOOTH_KINDS = frozenset(
-    {LossKind.LOG_COSH, LossKind.TILTED_LOG_COSH, LossKind.MSE, LossKind.HUBER}
-)
-
-
 @dataclass(frozen=True)
 class LossSpec:
     """Selects a loss family member and its parameters.

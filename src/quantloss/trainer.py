@@ -13,7 +13,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .classify import predict_prob, sbqc_batch_loss
-from .data import Dataset, FoldPlan, standardize_apply, standardize_fit, subset
+from .data import Dataset, FoldPlan, StandardizeStats, standardize_apply, standardize_fit, subset
 from .losses import LossSpec, batch_loss, slope_bound
 from .metrics import ConfusionMatrix, classification_metrics, rmse
 from .network import (
@@ -377,8 +377,9 @@ def _train_lbfgs(
     mem = LBFGSMemory(m_hist=config.optimizer.m_hist)
     cached = objective(params)
     diverged = False
-    ls_failures = consecutive_failures = 0
+    ls_failures = 0
     for _ in range(config.epochs):
+        had_memory = len(mem) > 0
         step = lbfgs_step(
             objective, params, mem,
             max_backtracks=config.optimizer.max_line_search,
@@ -386,22 +387,13 @@ def _train_lbfgs(
         )
         # step.value is the full training loss at the returned params;
         # a rejected step returns the unchanged params and their value
-        if not step.accepted:
-            ls_failures += 1
-            consecutive_failures += 1
-            if not evaluate_epoch(params, step.value):
-                diverged = True
-                break
-            if consecutive_failures >= 2:
-                # steepest descent could not improve either; converged
-                break
-            cached = (step.value, step.grad)
-            continue
-        consecutive_failures = 0
-        params = step.params
-        cached = (step.value, step.grad)
+        ls_failures += not step.accepted
+        params, cached = step.params, (step.value, step.grad)
         if not evaluate_epoch(params, step.value):
             diverged = True
+            break
+        if not (step.accepted or had_memory):
+            # even the steepest-descent fallback cannot improve; converged
             break
     return log.finish(params, diverged, ls_failures)
 
@@ -427,27 +419,22 @@ def _stack_loss(
 
 def _head_losses(
     config: TrainConfig, outputs: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``_stack_loss``, where a head whose loss raises ValueError alone gets the value NaN.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_stack_loss``, where a head whose outputs are not finite gets the value
+    NaN and a zero gradient, and the other heads are scored in one call.
 
-    The gradient is None when a head's loss raised: callers drop every head
-    whose value is not finite and compute the others again.
+    Non-finite outputs are the one reason a single head's loss raises, so a
+    ValueError of the finite heads (labels outside {0, 1}, non-finite
+    targets) belongs to the batch and propagates.
     """
-    try:
+    finite = np.isfinite(outputs).all(axis=(1, 2))
+    if finite.all():
         return _stack_loss(config, outputs, y)
-    except ValueError:
-        heads = outputs.shape[0]
+    values, grad = np.full(len(outputs), np.nan), np.zeros_like(outputs)
+    if finite.any():
         y = np.broadcast_to(y, outputs.shape[:-1] if config.task == "classification" else outputs.shape)
-        values = np.full(heads, np.nan)
-        raised = False
-        for j in range(heads):
-            try:
-                values[j] = _stack_loss(config, outputs[j : j + 1], y[j : j + 1])[0][0]
-            except ValueError:
-                raised = True
-        if not raised:  # the failure belongs to no single head
-            raise
-        return values, None
+        values[finite], grad[finite] = _stack_loss(config, outputs[finite], y[finite])
+    return values, grad
 
 
 def _train_adam(
@@ -460,11 +447,12 @@ def _train_adam(
     each batch makes one forward, one loss call, one backward and one
     ``adam_step`` for all of them.  Each run keeps its own initialisation,
     batch order, dropout masks, LALR rate and best epoch, and its slice of
-    every operation is the arithmetic of its solo run.  A run that diverges
-    (a loss that raises or is not finite, a non-finite gradient, a failed
-    epoch evaluation) is finished where its solo run stops, and its slices
-    of the parameters, the Adam moments and the workspace are dropped; the
-    others go on.
+    every operation is the arithmetic of its solo run.  Each step decides
+    once which runs are over: a run whose loss or gradient is not finite is
+    finished where its solo run stops, and its slices of the parameters, the
+    Adam moments and the workspace gradient are dropped before the step; a
+    run whose epoch evaluation is not finite is dropped after the epoch.
+    The others go on.
     """
     opt = config.optimizer
     classification = config.task == "classification"
@@ -485,8 +473,9 @@ def _train_adam(
     ws = Workspace(spec, stack.heads)
 
     def drop(failed: np.ndarray) -> list[int]:
-        """Finish the flagged heads' runs as diverged and compact the stack;
-        returns the positions of the heads that stay."""
+        """Finish the flagged heads' runs as diverged and compact the stack, its
+        Adam moments and the workspace gradient; returns the positions of the
+        heads that stay."""
         nonlocal stack, state, ws, live
         heads = stack.params.reshape(len(live), -1)
         for j in np.flatnonzero(failed):
@@ -500,7 +489,9 @@ def _train_adam(
                 state.exp_avg_sq.reshape(len(failed), -1)[keep].ravel(),
                 state.step, state.beta1, state.beta2, state.eps,
             )
+            grad = ws.grad.reshape(len(failed), -1)[keep]
             ws = Workspace(spec, len(keep))
+            ws.grad[...] = grad.ravel()
         return keep
 
     for epoch in range(config.epochs):
@@ -509,55 +500,36 @@ def _train_adam(
             idx = order[:, start : start + config.batch_size]
             xb, yb = X_train[idx], y_train[idx]
             mask_seeds = [int(mask_rngs[i].integers(0, 2**63)) for i in live] if use_dropout else 0
-            while True:
-                out, trace = forward(stack, xb, train_mode=use_dropout, seed=mask_seeds, workspace=ws)
-                values, pred_grad = _head_losses(config, out, yb)
-                failed = ~np.isfinite(values)
-                if not failed.any():
-                    break
-                # those runs stop before this step; the others run its forward again
-                keep = drop(failed)
-                if not keep:
-                    return runs
-                order, xb, yb = order[keep], xb[keep], yb[keep]
-                if use_dropout:
-                    mask_seeds = [mask_seeds[j] for j in keep]
+            out, trace = forward(stack, xb, train_mode=use_dropout, seed=mask_seeds, workspace=ws)
+            values, pred_grad = _head_losses(config, out, yb)
             backward(stack, trace, pred_grad, workspace=ws)
+            ok = np.isfinite(values)
             if lalr:
-                lr = []
-                for i, k_z in zip(live, trace.head_k_z.tolist()):
-                    ctx = LipschitzContext(m=xb.shape[1], y_norm=y_norm, k_z=k_z, g_at_zero=g0,
+                # a run whose loss failed stops before its rate; one whose gradient fails, after
+                lr, k_z = [1.0] * len(live), trace.head_k_z.tolist()
+                for j in np.flatnonzero(ok).tolist():
+                    ctx = LipschitzContext(m=xb.shape[1], y_norm=y_norm, k_z=k_z[j], g_at_zero=g0,
                                            tau=config.sbqc_tau)
                     K = _layer_constant(config, ctx)
-                    lr.append(lalr_lr(K, opt.lr_min, opt.lr_max))
-                    logs[i].k_trace.append(K)
-                    logs[i].lr_trace.append(lr[-1])
+                    lr[j] = lalr_lr(K, opt.lr_min, opt.lr_max)
+                    logs[live[j]].k_trace.append(K)
+                    logs[live[j]].lr_trace.append(lr[j])
             else:
                 lr = _epoch_lr(config, epoch)
-            try:
-                adam_step(state, stack.params, ws.grad, lr)
-            except ValueError:
-                # runs with a non-finite gradient stop here; the others step without them
-                grads = ws.grad.reshape(len(live), -1)
-                failed = ~np.isfinite(grads).all(axis=1)
-                if not failed.any():
-                    failed[:] = True
-                keep = drop(failed)
+            ok &= np.isfinite(ws.grad.reshape(len(live), -1)).all(axis=1)
+            if not ok.all():
+                keep = drop(~ok)
                 if not keep:
                     return runs
-                ws.grad[...] = grads[keep].ravel()
+                order = order[keep]
                 if lalr:
                     lr = [lr[j] for j in keep]
-                adam_step(state, stack.params, ws.grad, lr)
-                order = order[keep]
+            adam_step(state, stack.params, ws.grad, lr)
 
-        try:
-            out, _ = forward(stack, X_train, workspace=ws)
-            tl, _ = _head_losses(config, out, y_train)
-            out_val, _ = forward(stack, X_val, workspace=ws)
-            vl, _ = _head_losses(config, out_val, y_val)
-        except ValueError:  # a failure of the split itself fails every run alike
-            tl = vl = np.full(len(live), np.nan)
+        out, _ = forward(stack, X_train, workspace=ws)
+        tl, _ = _head_losses(config, out, y_train)
+        out_val, _ = forward(stack, X_val, workspace=ws)
+        vl, _ = _head_losses(config, out_val, y_val)
         ok = np.isfinite(tl) & np.isfinite(vl)
         heads = stack.params.reshape(len(live), -1)
         for j in np.flatnonzero(ok):
@@ -586,6 +558,8 @@ class RunRecord:
     test_metrics: dict[str, float]
     val_metrics: dict[str, float]
     best_params: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: the standardizer fitted on the fold's training split
+    standardizer: StandardizeStats | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -700,6 +674,7 @@ def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple | None = None) -> l
             train_loss=run.train_loss, val_loss=run.val_loss, val_metric=run.val_metric,
             lr_trace=run.lr_trace, k_trace=run.k_trace,
             test_metrics=test_m, val_metrics=val_m, best_params=run.best_params,
+            standardizer=stats,
         ))
     return records
 
@@ -793,8 +768,9 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
         aggregates[name] = aggregate([r.test_metrics[name] for r in done if name in r.test_metrics])
         aggregates["val_" + name] = aggregate([r.val_metrics[name] for r in done if name in r.val_metrics])
 
-    # the exported model is the best-validation run's best-epoch parameters
-    best_model = None
+    # the exported model is the best-validation run's best-epoch parameters,
+    # with the standardizer fitted on its fold's training split
+    best_model = best_stats = None
     key = "accuracy" if config.task == "classification" else "rmse"
     higher = config.task == "classification"
     best_rec = max(
@@ -802,15 +778,12 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
         key=lambda rec: rec.val_metrics[key] if higher else -rec.val_metrics[key],
         default=None,
     )
-    best_stats = None
     if best_rec is not None and best_rec.best_params is not None:
         out_dim = 1 if dataset.y.ndim == 1 else dataset.y.shape[1]
         spec = _layer_spec(config, dataset.X.shape[1], out_dim)
-        model = init_model(spec, derive_seed(config.seed, best_rec.fold, best_rec.repeat))
-        set_flat_params(model, best_rec.best_params)
-        best_model = model
-        train_idx, _ = fold_plan.folds[best_rec.fold]
-        _, best_stats = standardize_fit(subset(dataset, train_idx))
+        best_model = init_model(spec, derive_seed(config.seed, best_rec.fold, best_rec.repeat))
+        set_flat_params(best_model, best_rec.best_params)
+        best_stats = best_rec.standardizer
 
     return RunReport(
         config=config.to_dict(),

@@ -30,6 +30,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 1.*'b'.*'oops'"):
             load_csv(p, target="target")
 
+    @pytest.mark.parametrize("cell, column", [
+        ("nan", "b"), ("-inf", "b"), ("inf", "target"), ("NaN", "target"),
+    ])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+        p = tmp_path / "nonfinite.csv"
+        row = {"a": "1.0", "b": "2.0", "target": "0.5"} | {column: cell}
+        p.write_text("a,b,target\n3.0,4.0,1.5\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(ValueError, match=f"nonfinite.csv: row 2, column '{column}': "
+                                             f"non-finite value '{cell}'"):
+            load_csv(p, target="target")
+
     def test_header_only_is_empty_dataset(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("a,b,target\n")

@@ -20,6 +20,7 @@ from quantloss.optim import (
     LipschitzContext,
     adam_step,
     lalr_lr,
+    lbfgs_step,
     sbqc_layer_lipschitz_constant,
 )
 from quantloss.trainer import OptimizerSpec, SingleRun, TrainConfig, train_single
@@ -180,6 +181,29 @@ def _infinite_slope_above(threshold):
     return patched
 
 
+def _nan_value_above_infinite_slope_below(high, low, stacked_steps):
+    """Log-cosh whose value is NaN for an example with |prediction| > high and
+    whose slope is +inf where low < |prediction| <= high.  Each stacked
+    minibatch call appends to ``stacked_steps`` the heads it finishes by
+    their value and the heads it finishes by their gradient alone."""
+    original = trainer.batch_loss
+
+    def patched(spec, predictions, targets, reduction="mean"):
+        value, grad = original(spec, predictions, targets, reduction)
+        size = np.abs(predictions)
+        nan_at, inf_at = size > high, (size > low) & (size <= high)
+        if reduction == "none":  # (heads, m, out) predictions, one value per head and example
+            value = np.where(nan_at.any(axis=-1), np.nan, value)
+            by_value, by_slope = nan_at.any(axis=(1, 2)), inf_at.any(axis=(1, 2))
+            if len(predictions) > 1 and predictions.shape[1] <= 16:
+                stacked_steps.append((np.flatnonzero(by_value).tolist(),
+                                      np.flatnonzero(by_slope & ~by_value).tolist()))
+        elif nan_at.any():
+            value = np.nan
+        return value, np.where(inf_at, np.inf, grad)
+    return patched
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 class TestDivergenceInsideAStack:
     """Huge rates blow some runs up and not others; each run must stop where
@@ -222,6 +246,50 @@ class TestDivergenceInsideAStack:
             assert _differences(got, _reference_run(config, X, y, Xv, yv, seed)) == []
         diverged = [r.diverged for r in stacked]
         assert any(diverged) and not all(diverged)
+
+    def test_one_step_finishes_a_run_by_its_loss_and_another_by_its_gradient(self, monkeypatch):
+        # in one step of the 4 heads still alive, one prediction passes 6.9
+        # (NaN loss) and another head's largest lands in (5.9, 6.9] (infinite
+        # slope); seed 4 trains all 6 epochs
+        stacked_steps = []
+        monkeypatch.setattr(trainer, "batch_loss", _nan_value_above_infinite_slope_below(6.9, 5.9, stacked_steps))
+        config = TrainConfig(task="regression", hidden_sizes=(8,), loss=LossSpec(LossKind.LOG_COSH),
+                             optimizer=OptimizerSpec(kind="adam", lr=0.2), epochs=6, batch_size=16)
+        X, y, Xv, yv = _diverging_split()
+        seeds = list(range(6))
+        stacked = train_single(config, X, y, Xv, yv, seeds)
+        assert any(by_value and by_slope for by_value, by_slope in stacked_steps)
+        for seed, got in zip(seeds, stacked):
+            assert _differences(got, train_single(config, X, y, Xv, yv, seed)) == []
+            assert _differences(got, _reference_run(config, X, y, Xv, yv, seed)) == []
+        diverged = [r.diverged for r in stacked]
+        assert any(diverged) and not all(diverged)
+
+    @pytest.mark.parametrize("seed", [0, [0, 1, 2]])
+    def test_a_label_outside_zero_one_raises(self, seed):
+        config, (X, y, Xv, yv) = CASES["sbqc-lalr-adam"]
+        y = y.copy()
+        y[5] = 2.0
+        with pytest.raises(ValueError, match=r"labels must lie in \{0, 1\}"):
+            train_single(config, X, y, Xv, yv, seed)
+
+    def test_lbfgs_rejected_first_step_ends_the_run(self, monkeypatch):
+        # from an empty memory, a rejected line search would fail again from
+        # the same point, gradient and direction: one epoch, one line search
+        steps = []
+
+        def counting_lbfgs_step(*args, **kwargs):
+            steps.append(lbfgs_step(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(trainer, "lbfgs_step", counting_lbfgs_step)
+        config = TrainConfig(task="regression", hidden_sizes=(8,), loss=LossSpec(LossKind.MSE),
+                             optimizer=OptimizerSpec(kind="lbfgs", max_line_search=1), epochs=5)
+        X, y, Xv, yv = _diverging_split()
+        run = train_single(config, X, 50 * y, Xv, 50 * yv, 0)
+        assert [s.accepted for s in steps] == [False]
+        assert len(run.train_loss) == 1 and run.line_search_failures == 1
+        assert not run.diverged and run.best_epoch == 0
 
 
 class TestJobs:

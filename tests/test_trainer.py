@@ -4,6 +4,7 @@ divergence tolerance, threshold queries."""
 import json
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ class TestTrain:
         assert _rmse(leaky.ravel(), val.y) != pytest.approx(
             rec.val_metrics["rmse"], abs=1e-9
         )
+
+    def test_exported_standardizer_is_the_best_runs_fold_fit(self, monkeypatch):
+        # a constant feature floors its variance: one warning per fold job, none from train()
+        monkeypatch.setenv("QUANTLOSS_THREADS", "1")
+        ds = _toy_regression(seed=5)
+        ds.X[:, 1] = 3.0
+        plan = stratified_kfold(ds, k=3, val_fraction=0.2, seed=0)
+        cfg = TrainConfig(task="regression", hidden_sizes=(4,), loss=LossSpec(LossKind.MSE),
+                          optimizer=OptimizerSpec(kind="adam", lr=0.05), epochs=2, batch_size=32,
+                          repeats=2, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = train(cfg, plan, ds)
+        assert sum("variance floored" in str(w.message) for w in caught) == 3
+        best = min(report.records, key=lambda r: r.val_metrics["rmse"])
+        assert report.best_standardizer is best.standardizer
+        with pytest.warns(RuntimeWarning, match="floored"):
+            _, want = standardize_fit(subset(ds, plan.folds[best.fold][0]))
+        np.testing.assert_array_equal(report.best_standardizer.mean, want.mean)
+        np.testing.assert_array_equal(report.best_standardizer.scale, want.scale)
+        assert report.best_standardizer.floored == want.floored == (1,)
 
     def test_lbfgs_path_trains_regression(self):
         ds = _toy_regression(seed=7)

@@ -4,10 +4,17 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from quantloss import classify
+from quantloss import classify, network
 from quantloss.secant_dist import AsymmetricHSD
-from quantloss.verify import PropertyResult, check_sbqc_tail_slope, run_all, violations
+from quantloss.verify import (
+    PropertyResult,
+    check_backprop_gradients,
+    check_sbqc_tail_slope,
+    run_all,
+    violations,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -71,6 +78,26 @@ class TestTailSlope:
         assert not result.passed
         # the clamped slope has collapsed to about 0 by z = 50
         assert result.measured > 0.9
+
+
+class TestBackpropGradients:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_passes_at_every_seed(self, seed):
+        # zero initial biases put some relu pre-activations at exactly 0
+        result = check_backprop_gradients(seed)
+        assert result.name == "network.backprop_fd" and result.limit == 1e-5
+        assert result.passed, result.measured
+
+    def test_fails_on_a_slightly_scaled_backward(self, monkeypatch):
+        original = network.backward
+
+        def scaled_backward(*args, **kwargs):
+            weight_grads, bias_grads = original(*args, **kwargs)
+            return [w * (1 + 1e-3) for w in weight_grads], [b * (1 + 1e-3) for b in bias_grads]
+
+        monkeypatch.setattr(network, "backward", scaled_backward)
+        for seed in (0, 2):
+            assert not check_backprop_gradients(seed).passed
 
 
 class TestRepoArtifacts:
