@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import quantile_crossing_grad, quantile_crossing_penalty
-from .network import LayerSpec, MLPModel, Workspace, backward, forward, init_model, stack_models
+from .network import LayerSpec, MLPModel, Workspace, backward, forward, init_model, predict, stack_models
 from .optim import AdamState, adam_step
 from .secant_dist import QUARTER_PI, AsymmetricHSD
 
@@ -113,7 +113,7 @@ class MultiQuantileModel:
 
     def latents(self, X: np.ndarray) -> np.ndarray:
         """Q_x(tau_p) matrix, rows = examples, columns = ascending grid levels."""
-        cols = [forward(m, X)[0][:, 0] for m in self.models]
+        cols = [predict(m, X)[:, 0] for m in self.models]
         return np.column_stack(cols)
 
 

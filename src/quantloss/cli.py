@@ -17,7 +17,7 @@ import numpy as np
 from . import synthetic, verify
 from .classify import curve_to_csv, curve_to_json, multi_quantile_train, quantile_curve
 from .data import load_csv, standardize_fit, stratified_kfold
-from .network import forward, init_model, load_checkpoint, save_checkpoint
+from .network import forward, init_model, load_checkpoint, predict, save_checkpoint
 from .optim import LipschitzContext, lalr_lr, sbqc_lipschitz_constant
 from .trainer import TrainConfig, _layer_constant, _layer_spec, _score, epochs_to_threshold, train
 
@@ -125,8 +125,7 @@ def cmd_eval(args) -> int:
             raise CliError(f"standardizer {std_path} has mean/scale shapes {mean.shape}/{scale.shape}, "
                            f"but the dataset has {X.shape[1]} features")
         X = (X - mean) / scale
-    out, _ = forward(model, X)
-    m = _score(ds.task, args.tau, out, ds.y)
+    m = _score(ds.task, args.tau, predict(model, X), ds.y)
     for k, v in sorted(m.items()):
         print(f"{k}: {v:.6f}")
     if args.out:

@@ -2,21 +2,26 @@
 
 The forward pass records per-layer pre-activations and activations so the
 learning-rate machinery can read off the largest penultimate activation
-(``ForwardTrace.k_z``).  The output layer is always linear: regression heads
-emit raw predictions and classification heads emit the latent score that the
-sBQC loss maps to a probability.
+(``ForwardTrace.k_z``) and backpropagation can reuse them; ``predict`` gives
+the same outputs without that trace, for evaluation.  The output layer is
+always linear: regression heads emit raw predictions and classification heads
+emit the latent score that the sBQC loss maps to a probability.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "identity")
+
+#: bytes that one ``predict`` block of the widest hidden layer may take, over every head
+PREDICT_BLOCK_BYTES = 1 << 20
 
 
 def activation_at_zero(kind: str) -> float:
@@ -276,7 +281,9 @@ class Workspace:
     the next ``backward`` on it.  Copy what must outlive that.  A workspace
     for a ``ModelStack`` is built with its head count; its buffers have a
     leading head axis and serve a batch shared by every head, (m, d), and
-    one batch per head, (heads, m, d), alike.
+    one batch per head, (heads, m, d), alike.  ``predict`` borrows one block
+    buffer per hidden layer, which the next ``predict`` on this workspace
+    overwrites; it touches no ``forward`` buffer.
     """
 
     def __init__(self, spec: LayerSpec, heads: int | None = None):
@@ -289,6 +296,8 @@ class Workspace:
         self._lead = lead
         self._rows: dict[int, _RowBuffers] = {}
         self._scratch = _BackwardScratch(spec, lead)
+        self._block_flat: list[np.ndarray] = []
+        self._block_size = 0
 
     def _check(self, model: MLPModel | ModelStack) -> None:
         if model.heads != self.heads or (model.spec is not self.spec and model.spec != self.spec):
@@ -301,6 +310,15 @@ class Workspace:
             bufs = self._rows[m] = _RowBuffers(self.spec, self._lead, m)
         return bufs
 
+    def _blocks(self, lead: tuple[int, ...], m: int) -> list[np.ndarray]:
+        """``predict``'s hidden-layer buffers for a block of ``lead`` heads and m
+        rows: C-contiguous views of flat arrays, regrown when a block is larger."""
+        size = math.prod(lead) * m
+        if size > self._block_size:
+            self._block_size = size
+            self._block_flat = [np.empty(size * h) for h in self._scratch.hidden]
+        return [f[: size * h].reshape(lead + (m, h)) for f, h in zip(self._block_flat, self._scratch.hidden)]
+
 
 def init_model(spec: LayerSpec, seed: int) -> MLPModel:
     """Fan-in-scaled uniform weights (bound sqrt(6/fan_in)), zero biases."""
@@ -311,6 +329,19 @@ def init_model(spec: LayerSpec, seed: int) -> MLPModel:
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return MLPModel(spec=spec, seed=seed, weights=weights, biases=biases)
+
+
+def _checked_batch(model: MLPModel | ModelStack, batch: np.ndarray) -> np.ndarray:
+    """The batch as a float array, after the shape and finiteness checks of
+    ``forward`` and ``predict``."""
+    x = np.asarray(batch, dtype=float)
+    heads, d = model.heads, model.spec.input_dim
+    if x.ndim not in (2, 3) or x.shape[-1] != d or (x.ndim == 3 and x.shape[0] != heads):
+        expected = f"(m, {d})" if heads is None else f"(m, {d}) or ({heads}, m, {d})"
+        raise ValueError(f"batch must be {expected}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite values in input batch")
+    return x
 
 
 def forward(
@@ -331,13 +362,8 @@ def forward(
     ``seed`` may be one seed per head: head j's masks are then drawn by its
     own generator into its own slice, so they equal its single-network masks.
     """
-    x = np.asarray(batch, dtype=float)
-    heads, d = model.heads, model.spec.input_dim
-    if x.ndim not in (2, 3) or x.shape[-1] != d or (x.ndim == 3 and x.shape[0] != heads):
-        expected = f"(m, {d})" if heads is None else f"(m, {d}) or ({heads}, m, {d})"
-        raise ValueError(f"batch must be {expected}, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite values in input batch")
+    x = _checked_batch(model, batch)
+    heads = model.heads
     bufs = (workspace or Workspace(model.spec, heads))._buffers(model, x.shape[-2])
     rng = head_rngs = None
     if train_mode and np.ndim(seed) == 0:
@@ -379,6 +405,69 @@ def forward(
         masks.append(mask)
         acts.append(a)
     return a, ForwardTrace(pre, acts, masks)
+
+
+def predict_block_rows(spec: LayerSpec) -> int:
+    """Rows per ``predict`` block: the largest multiple of 64 (at least 64)
+    whose widest hidden layer, for one head, fits in ``PREDICT_BLOCK_BYTES``."""
+    width = max((*spec.hidden_sizes, spec.output_dim))
+    return max(1, PREDICT_BLOCK_BYTES // (64 * 8 * width)) * 64
+
+
+def predict(
+    model: MLPModel | ModelStack,
+    batch: np.ndarray,
+    workspace: Workspace | None = None,
+) -> np.ndarray:
+    """The outputs of ``forward`` in inference mode, without a trace.
+
+    The network runs block by block, and each hidden activation is applied
+    in place in the block's buffer, so the memory used stays near
+    ``PREDICT_BLOCK_BYTES`` whatever the batch.  A block is a run of rows
+    that starts at a multiple of ``predict_block_rows`` (a last run under 64
+    rows joins the block before it), and, for a ``ModelStack``, a group of
+    as many heads as fit the budget at that row count.  The row cuts depend
+    on the layer widths alone, never on the head count, so a head's outputs
+    do not depend on the stack it is in; whether they equal ``forward``'s bit
+    for bit depends on the BLAS build (``quantloss verify`` measures it as
+    ``network.predict_blocks``).  Returns a new (m, out) array, or
+    (heads, m, out) for a stack; the workspace lends only the block buffers.
+    The batch is checked as in ``forward``, with the same errors.
+    """
+    x = _checked_batch(model, batch)
+    spec, heads, m = model.spec, model.heads, x.shape[-2]
+    ws = workspace or Workspace(spec, heads)
+    ws._check(model)
+    out = np.empty(ws._lead + (m, spec.output_dim))
+    step = predict_block_rows(spec)
+    starts = list(range(0, m, step))
+    if len(starts) > 1 and m - starts[-1] < 64:
+        # a BLAS call on a few rows can take another kernel than the whole batch
+        del starts[-1]
+    ends = starts[1:] + [m]
+    if heads is None:
+        groups = [slice(None)]
+    else:
+        per = max(1, step // max(1, min(m, step)))  # heads per block at this row count
+        groups = [slice(h, min(h + per, heads)) for h in range(0, heads, per)]
+    for g in groups:
+        layers = [(w[g], b[g]) for w, b in zip(model.weights, model.biases)]
+        xg, outg = (x[g] if x.ndim == 3 else x), out[g]
+        lead = outg.shape[:-2]
+        for start, end in zip(starts, ends):
+            a = xg[..., start:end, :]
+            for (w, b), z in zip(layers[:-1], ws._blocks(lead, end - start)):
+                np.matmul(a, w, out=z)
+                z += b
+                if spec.activation == "relu":
+                    np.maximum(z, 0.0, out=z)
+                elif spec.activation == "tanh":
+                    np.tanh(z, out=z)
+                a = z
+            w, b = layers[-1]
+            z = np.matmul(a, w, out=outg[..., start:end, :])
+            z += b
+    return out
 
 
 def backward(

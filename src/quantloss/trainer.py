@@ -25,6 +25,7 @@ from .network import (
     flatten_params,
     forward,
     init_model,
+    predict,
     set_flat_params,
     stack_models,
 )
@@ -246,6 +247,19 @@ def _val_metric(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> floa
     return scores["accuracy" if config.task == "classification" else "rmse"]
 
 
+def _head_val_metrics(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> list[float]:
+    """``_val_metric`` of each head of (heads, m, out) outputs.
+
+    Classification scores every head with one ``predict_prob`` call, as
+    hits / m, which equals ``classification_metrics``' (tp + tn) / n bit for
+    bit.
+    """
+    if config.task == "classification":
+        hits = (predict_prob(outputs[..., 0], config.sbqc_tau) >= 0.5) == (y == 1.0)
+        return (np.count_nonzero(hits, axis=1) / outputs.shape[1]).tolist()
+    return [_val_metric(config, out, y) for out in outputs]
+
+
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
     if config.lr_policy == "exponential":
         return config.optimizer.lr * math.exp(-EXP_DECAY_RATE * epoch)
@@ -350,17 +364,20 @@ def _train_lbfgs(
     log = _RunLog(config.task == "classification", lalr=False)
 
     def evaluate_epoch(p: np.ndarray, tl: float) -> bool:
-        """Record the epoch at ``p``, whose training loss is ``tl``; False when non-finite."""
-        try:
-            set_flat_params(model, p)
-            out_val, _ = forward(model, X_val, workspace=ws)
-            vl, _ = _loss_and_pred_grad(config, out_val, y_val)
-            vm = _val_metric(config, out_val, y_val)
-        except ValueError:
+        """Record the epoch at ``p``, whose training loss is ``tl``; False when
+        that loss, the validation outputs or the validation loss are not finite.
+
+        Any other error of the validation loss (a label outside {0, 1}, a
+        non-finite target) is raised, as in ``_train_adam``.
+        """
+        set_flat_params(model, p)
+        out_val = predict(model, X_val, workspace=ws)
+        if not (math.isfinite(tl) and np.isfinite(out_val).all()):
             return False
-        if not (math.isfinite(tl) and math.isfinite(float(vl))):
+        vl, _ = _loss_and_pred_grad(config, out_val, y_val)
+        if not math.isfinite(float(vl)):
             return False
-        log.record(tl, float(vl), vm, p)
+        log.record(tl, float(vl), _val_metric(config, out_val, y_val), p)
         return True
 
     # params stays the line search's own vector: lbfgs_step keeps x0 and
@@ -526,14 +543,13 @@ def _train_adam(
                     lr = [lr[j] for j in keep]
             adam_step(state, stack.params, ws.grad, lr)
 
-        out, _ = forward(stack, X_train, workspace=ws)
-        tl, _ = _head_losses(config, out, y_train)
-        out_val, _ = forward(stack, X_val, workspace=ws)
+        tl, _ = _head_losses(config, predict(stack, X_train, workspace=ws), y_train)
+        out_val = predict(stack, X_val, workspace=ws)
         vl, _ = _head_losses(config, out_val, y_val)
         ok = np.isfinite(tl) & np.isfinite(vl)
         heads = stack.params.reshape(len(live), -1)
-        for j in np.flatnonzero(ok):
-            vm = _val_metric(config, out_val[j], y_val)
+        scored = np.flatnonzero(ok)
+        for j, vm in zip(scored, _head_val_metrics(config, out_val[scored], y_val)):
             logs[live[j]].record(float(tl[j]), float(vl[j]), vm, heads[j])
         if not ok.all() and not drop(~ok):
             return runs
@@ -625,8 +641,7 @@ class RunReport:
 def _metrics_for(config: TrainConfig, model_params, spec, X, y) -> dict[str, float]:
     model = init_model(spec, 0)
     set_flat_params(model, model_params)
-    out, _ = forward(model, X)
-    return _score(config.task, config.sbqc_tau, out, y)
+    return _score(config.task, config.sbqc_tau, predict(model, X), y)
 
 
 #: (config, fold_plan, dataset, validation slice) of the train() call this
@@ -644,9 +659,9 @@ def _init_worker(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> 
 
 
 def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple | None = None) -> list[RunRecord]:
-    """Train and score one fold's chunk of repeats; a pool worker uses its own inputs.
+    """Train and score one piece, a fold's contiguous repeats; a pool worker uses its own inputs.
 
-    The fold's training split is standardized once for the chunk, and its
+    The fold's training split is standardized once for the piece, and its
     repeats are trained by one ``train_single`` call (one stack for Adam).
     """
     config, fold_plan, dataset, val_ds = inputs or _WORKER_INPUTS
@@ -679,31 +694,38 @@ def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple | None = None) -> l
     return records
 
 
-def _jobs(config: TrainConfig, n_folds: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(fold, repeats) jobs, in (fold, repeat) order.
+def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple | None = None) -> list[RunRecord]:
+    """``_run_job`` on each (fold, repeats) piece of one bin, in order."""
+    return [rec for piece in pieces for rec in _run_job(piece, inputs)]
 
-    L-BFGS gets one job per run, because its line search is per run.  Adam
-    splits each fold's repeats into ceil(workers / folds) contiguous chunks,
-    each trained as one stack, so the folds alone fill the workers when
-    there are at least as many folds.
+
+def _jobs(config: TrainConfig, n_folds: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """Bins of (fold, repeats) pieces, one bin per worker task, in (fold, repeat) order.
+
+    L-BFGS gets one single-run bin per run, because its line search is per
+    run.  Adam cuts the (fold, repeat) grid, in order, into min(workers,
+    runs) contiguous bins whose run counts differ by at most one, and splits
+    each bin at fold edges into pieces, each trained as one stack: on 2 CPUs,
+    5 folds x 5 repeats go out as 5 + 5 + 3 and 2 + 5 + 5 runs, and one
+    worker gets one piece per fold.
     """
+    runs = n_folds * config.repeats
     if config.optimizer.kind == "lbfgs":
-        chunks = config.repeats
+        n_bins = runs
     else:
-        workers = min(worker_count(), _usable_cpus())
-        chunks = min(config.repeats, math.ceil(workers / n_folds))
-    return [
-        (fold, tuple(part.tolist()))
-        for fold in range(n_folds)
-        for part in np.array_split(np.arange(config.repeats), chunks)
-    ]
+        n_bins = min(worker_count(), _usable_cpus(), runs)
+    bins = []
+    for part in np.array_split(np.arange(runs), n_bins):
+        folds, repeats = np.divmod(part, config.repeats)
+        bins.append([(int(f), tuple(repeats[folds == f].tolist())) for f in np.unique(folds)])
+    return bins
 
 
 def _run_jobs_in_processes(
-    jobs: list[tuple[int, tuple[int, ...]]], n_workers: int,
+    bins: list[list[tuple[int, tuple[int, ...]]]], n_workers: int,
     config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset,
 ) -> list[RunRecord]:
-    """Map ``_run_job`` over ``n_workers`` processes, each with one BLAS thread.
+    """Map ``_run_bin`` over ``n_workers`` processes, each with one BLAS thread.
 
     Workers fork from a forkserver that has already imported this module
     (spawn where forkserver is unavailable) and receive the inputs once,
@@ -725,7 +747,7 @@ def _run_jobs_in_processes(
             n_workers, mp_context=ctx,
             initializer=_init_worker, initargs=(config, fold_plan, dataset),
         ) as pool:
-            return [rec for recs in pool.map(_run_job, jobs) for rec in recs]
+            return [rec for recs in pool.map(_run_bin, bins) for rec in recs]
     finally:
         if caller_blas is None:
             del os.environ["OPENBLAS_NUM_THREADS"]
@@ -739,21 +761,21 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
     Each (fold, repeat) run trains on its fold's standardized training
     split, scores the fold's test split and the shared validation slice with
     the best-validation parameters, and is seeded independently.  The work
-    goes out as jobs of one fold's contiguous chunk of repeats (see
-    ``_jobs``): a job standardizes once and trains its chunk as one stack,
-    and every run equals the run its seed trains alone, so results are
-    identical whatever the chunking, the job order or the number of worker
-    processes (``QUANTLOSS_THREADS``).
+    goes out as one bin of runs per worker (see ``_jobs``), cut at fold
+    edges into pieces of one fold's contiguous repeats: a piece standardizes
+    once and trains its repeats as one stack, and every run equals the run
+    its seed trains alone, so results are identical whatever the binning,
+    the job order or the number of worker processes (``QUANTLOSS_THREADS``).
     """
     if config.task != dataset.task:
         raise ValueError(f"config task {config.task!r} does not match dataset task {dataset.task!r}")
-    jobs = _jobs(config, len(fold_plan.folds))
-    n_workers = _pool_size(len(jobs))
+    bins = _jobs(config, len(fold_plan.folds))
+    n_workers = _pool_size(len(bins))
     if n_workers > 1:
-        records = _run_jobs_in_processes(jobs, n_workers, config, fold_plan, dataset)
+        records = _run_jobs_in_processes(bins, n_workers, config, fold_plan, dataset)
     else:
         inputs = _job_inputs(config, fold_plan, dataset)
-        records = [rec for job in jobs for rec in _run_job(job, inputs)]
+        records = [rec for pieces in bins for rec in _run_bin(pieces, inputs)]
 
     def aggregate(vals: list[float]) -> dict[str, float | None]:
         return {

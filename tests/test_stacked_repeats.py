@@ -13,6 +13,7 @@ import pytest
 
 from quantloss import trainer, verify
 from quantloss.classify import sbqc_batch_loss
+from quantloss.data import load_csv
 from quantloss.losses import LossKind, LossSpec
 from quantloss.network import LayerSpec, Workspace, backward, forward, init_model, stack_models
 from quantloss.optim import (
@@ -273,6 +274,26 @@ class TestDivergenceInsideAStack:
         with pytest.raises(ValueError, match=r"labels must lie in \{0, 1\}"):
             train_single(config, X, y, Xv, yv, seed)
 
+    @pytest.mark.parametrize("kind", ["lalr-adam", "lbfgs"])
+    @pytest.mark.parametrize("seed", [0, [0, 1, 2]])
+    def test_a_validation_label_outside_zero_one_raises(self, kind, seed):
+        # L-BFGS used to record such a run as diverged after 0 epochs
+        ds = load_csv(verify.TOY_CLASSIFICATION, "label")
+        config = TrainConfig(task="classification", hidden_sizes=(8,), optimizer=OptimizerSpec(kind=kind),
+                             epochs=2, batch_size=4)
+        yv = ds.y.copy()
+        yv[3] = 2.0
+        with pytest.raises(ValueError, match=r"labels must lie in \{0, 1\}"):
+            train_single(config, ds.X, ds.y, ds.X, yv, seed)
+
+    def test_lbfgs_non_finite_validation_outputs_end_the_run(self, monkeypatch):
+        monkeypatch.setattr(trainer, "predict", lambda *args, **kwargs: np.full((30, 1), np.nan))
+        config = TrainConfig(task="regression", hidden_sizes=(8,), loss=LossSpec(LossKind.MSE),
+                             optimizer=OptimizerSpec(kind="lbfgs"), epochs=5)
+        X, y, Xv, yv = _split("regression")
+        run = train_single(config, X, y, Xv, yv, 0)
+        assert run.diverged and run.train_loss == [] and run.best_epoch == 0
+
     def test_lbfgs_rejected_first_step_ends_the_run(self, monkeypatch):
         # from an empty memory, a rejected line search would fail again from
         # the same point, gradient and direction: one epoch, one line search
@@ -297,12 +318,42 @@ class TestJobs:
         monkeypatch.setattr(trainer, "_usable_cpus", lambda: 8)
         adam = TrainConfig(task="classification", repeats=5)
         monkeypatch.setenv("QUANTLOSS_THREADS", "2")
-        assert trainer._jobs(adam, 5) == [(f, (0, 1, 2, 3, 4)) for f in range(5)]
+        every = (0, 1, 2, 3, 4)
+        assert trainer._jobs(adam, 5) == [
+            [(0, every), (1, every), (2, (0, 1, 2))],
+            [(2, (3, 4)), (3, every), (4, every)],
+        ]
         monkeypatch.setenv("QUANTLOSS_THREADS", "8")
-        assert trainer._jobs(adam, 5) == [(f, part) for f in range(5) for part in ((0, 1, 2), (3, 4))]
+        assert trainer._jobs(adam, 5) == [
+            [(0, (0, 1, 2, 3))], [(0, (4,)), (1, (0, 1))], [(1, (2, 3, 4))], [(2, (0, 1, 2))],
+            [(2, (3, 4)), (3, (0,))], [(3, (1, 2, 3))], [(3, (4,)), (4, (0, 1))], [(4, (2, 3, 4))],
+        ]
         assert len(trainer._jobs(TrainConfig(task="classification", repeats=1), 2)) == 2
         lbfgs = TrainConfig(task="classification", repeats=3, optimizer=OptimizerSpec(kind="lbfgs"))
-        assert trainer._jobs(lbfgs, 2) == [(f, (r,)) for f in range(2) for r in range(3)]
+        assert trainer._jobs(lbfgs, 2) == [[(f, (r,))] for f in range(2) for r in range(3)]
+
+    @pytest.mark.parametrize("workers", range(1, 9))
+    def test_bins_cover_the_grid_in_order_and_balance_it(self, monkeypatch, workers):
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 8)
+        monkeypatch.setenv("QUANTLOSS_THREADS", str(workers))
+        for folds in range(2, 6):
+            for repeats in range(1, 8):
+                bins = trainer._jobs(TrainConfig(task="classification", repeats=repeats), folds)
+                runs = [(f, r) for pieces in bins for f, part in pieces for r in part]
+                assert runs == [(f, r) for f in range(folds) for r in range(repeats)]
+                assert len(bins) == min(workers, folds * repeats)
+                sizes = [sum(len(part) for _, part in pieces) for pieces in bins]
+                assert max(sizes) - min(sizes) <= 1
+                # each piece is one fold's contiguous repeats, and a bin has one piece per fold
+                for pieces in bins:
+                    assert [f for f, _ in pieces] == sorted({f for f, _ in pieces})
+                    assert all(part == tuple(range(part[0], part[-1] + 1)) for _, part in pieces)
+                if workers == 1:
+                    assert bins == [[(f, tuple(range(repeats))) for f in range(folds)]]
+                lbfgs = TrainConfig(task="classification", repeats=repeats, optimizer=OptimizerSpec(kind="lbfgs"))
+                assert trainer._jobs(lbfgs, folds) == [
+                    [(f, (r,))] for f in range(folds) for r in range(repeats)
+                ]
 
     def test_records_do_not_depend_on_the_chunking(self):
         from quantloss.data import stratified_kfold
