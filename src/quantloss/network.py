@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "identity")
-
-#: bytes that one ``predict`` block of the widest hidden layer may take, over every head
-PREDICT_BLOCK_BYTES = 1 << 20
 
 
 def activation_at_zero(kind: str) -> float:
@@ -281,9 +277,9 @@ class Workspace:
     the next ``backward`` on it.  Copy what must outlive that.  A workspace
     for a ``ModelStack`` is built with its head count; its buffers have a
     leading head axis and serve a batch shared by every head, (m, d), and
-    one batch per head, (heads, m, d), alike.  ``predict`` borrows one block
-    buffer per hidden layer, which the next ``predict`` on this workspace
-    overwrites; it touches no ``forward`` buffer.
+    one batch per head, (heads, m, d), alike.  ``predict`` borrows one
+    buffer of one head's m rows per hidden layer, which the next ``predict``
+    on this workspace overwrites; it touches no ``forward`` buffer.
     """
 
     def __init__(self, spec: LayerSpec, heads: int | None = None):
@@ -296,8 +292,7 @@ class Workspace:
         self._lead = lead
         self._rows: dict[int, _RowBuffers] = {}
         self._scratch = _BackwardScratch(spec, lead)
-        self._block_flat: list[np.ndarray] = []
-        self._block_size = 0
+        self._hidden: dict[int, list[np.ndarray]] = {}
 
     def _check(self, model: MLPModel | ModelStack) -> None:
         if model.heads != self.heads or (model.spec is not self.spec and model.spec != self.spec):
@@ -310,14 +305,12 @@ class Workspace:
             bufs = self._rows[m] = _RowBuffers(self.spec, self._lead, m)
         return bufs
 
-    def _blocks(self, lead: tuple[int, ...], m: int) -> list[np.ndarray]:
-        """``predict``'s hidden-layer buffers for a block of ``lead`` heads and m
-        rows: C-contiguous views of flat arrays, regrown when a block is larger."""
-        size = math.prod(lead) * m
-        if size > self._block_size:
-            self._block_size = size
-            self._block_flat = [np.empty(size * h) for h in self._scratch.hidden]
-        return [f[: size * h].reshape(lead + (m, h)) for f, h in zip(self._block_flat, self._scratch.hidden)]
+    def _hidden_rows(self, m: int) -> list[np.ndarray]:
+        """``predict``'s (m, width) buffer per hidden layer, shared by the heads."""
+        bufs = self._hidden.get(m)
+        if bufs is None:
+            bufs = self._hidden[m] = [np.empty((m, h)) for h in self.spec.hidden_sizes]
+        return bufs
 
 
 def init_model(spec: LayerSpec, seed: int) -> MLPModel:
@@ -342,6 +335,22 @@ def _checked_batch(model: MLPModel | ModelStack, batch: np.ndarray) -> np.ndarra
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in input batch")
     return x
+
+
+def _dense(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ w + b, written into ``out``."""
+    z = np.matmul(a, w, out=out)
+    z += b
+    return z
+
+
+def _activate(kind: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The hidden activation of z, written into ``out`` (which may be z); z for identity."""
+    if kind == "relu":
+        return np.maximum(z, 0.0, out=out)
+    if kind == "tanh":
+        return np.tanh(z, out=out)
+    return z
 
 
 def forward(
@@ -378,19 +387,13 @@ def forward(
     pre, acts, masks = [], [x], []
     a = x
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(a, w, out=bufs.pre[layer])
-        z += b
+        z = _dense(a, w, b, bufs.pre[layer])
         pre.append(z)
         mask = None
         if layer == last:
             a = z
         else:
-            if kind == "relu":
-                a = np.maximum(z, 0.0, out=bufs.act[layer])
-            elif kind == "tanh":
-                a = np.tanh(z, out=bufs.act[layer])
-            else:
-                a = z
+            a = _activate(kind, z, bufs.act[layer])
             p = model.spec.dropout[layer]
             if train_mode and p > 0.0:
                 mask = bufs.mask[layer]
@@ -407,13 +410,6 @@ def forward(
     return a, ForwardTrace(pre, acts, masks)
 
 
-def predict_block_rows(spec: LayerSpec) -> int:
-    """Rows per ``predict`` block: the largest multiple of 64 (at least 64)
-    whose widest hidden layer, for one head, fits in ``PREDICT_BLOCK_BYTES``."""
-    width = max((*spec.hidden_sizes, spec.output_dim))
-    return max(1, PREDICT_BLOCK_BYTES // (64 * 8 * width)) * 64
-
-
 def predict(
     model: MLPModel | ModelStack,
     batch: np.ndarray,
@@ -421,52 +417,31 @@ def predict(
 ) -> np.ndarray:
     """The outputs of ``forward`` in inference mode, without a trace.
 
-    The network runs block by block, and each hidden activation is applied
-    in place in the block's buffer, so the memory used stays near
-    ``PREDICT_BLOCK_BYTES`` whatever the batch.  A block is a run of rows
-    that starts at a multiple of ``predict_block_rows`` (a last run under 64
-    rows joins the block before it), and, for a ``ModelStack``, a group of
-    as many heads as fit the budget at that row count.  The row cuts depend
-    on the layer widths alone, never on the head count, so a head's outputs
-    do not depend on the stack it is in; whether they equal ``forward``'s bit
-    for bit depends on the BLAS build (``quantloss verify`` measures it as
-    ``network.predict_blocks``).  Returns a new (m, out) array, or
-    (heads, m, out) for a stack; the workspace lends only the block buffers.
-    The batch is checked as in ``forward``, with the same errors.
+    A ``ModelStack`` runs one head at a time over the whole batch, through
+    one (m, width) buffer per hidden layer with the activation applied in
+    place, so each matrix product is the one ``forward`` makes for that head
+    and the outputs equal ``forward(model, batch)[0]`` bit for bit.  Returns
+    a new (m, out) array, or (heads, m, out) for a stack; the workspace lends
+    only the hidden-layer buffers.  The batch is checked as in ``forward``,
+    with the same errors.
     """
     x = _checked_batch(model, batch)
-    spec, heads, m = model.spec, model.heads, x.shape[-2]
-    ws = workspace or Workspace(spec, heads)
+    spec, m = model.spec, x.shape[-2]
+    ws = workspace or Workspace(spec, model.heads)
     ws._check(model)
     out = np.empty(ws._lead + (m, spec.output_dim))
-    step = predict_block_rows(spec)
-    starts = list(range(0, m, step))
-    if len(starts) > 1 and m - starts[-1] < 64:
-        # a BLAS call on a few rows can take another kernel than the whole batch
-        del starts[-1]
-    ends = starts[1:] + [m]
-    if heads is None:
-        groups = [slice(None)]
+    if model.heads is None:
+        runs = [(x, model.weights, model.biases, out)]
     else:
-        per = max(1, step // max(1, min(m, step)))  # heads per block at this row count
-        groups = [slice(h, min(h + per, heads)) for h in range(0, heads, per)]
-    for g in groups:
-        layers = [(w[g], b[g]) for w, b in zip(model.weights, model.biases)]
-        xg, outg = (x[g] if x.ndim == 3 else x), out[g]
-        lead = outg.shape[:-2]
-        for start, end in zip(starts, ends):
-            a = xg[..., start:end, :]
-            for (w, b), z in zip(layers[:-1], ws._blocks(lead, end - start)):
-                np.matmul(a, w, out=z)
-                z += b
-                if spec.activation == "relu":
-                    np.maximum(z, 0.0, out=z)
-                elif spec.activation == "tanh":
-                    np.tanh(z, out=z)
-                a = z
-            w, b = layers[-1]
-            z = np.matmul(a, w, out=outg[..., start:end, :])
-            z += b
+        runs = [
+            (x[j] if x.ndim == 3 else x, [w[j] for w in model.weights], [b[j] for b in model.biases], out[j])
+            for j in range(model.heads)
+        ]
+    hidden = ws._hidden_rows(m)
+    for a, weights, biases, head_out in runs:
+        for w, b, z in zip(weights[:-1], biases[:-1], hidden):
+            a = _activate(spec.activation, _dense(a, w, b, z), z)
+        _dense(a, weights[-1], biases[-1], head_out)
     return out
 
 

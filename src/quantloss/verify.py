@@ -503,27 +503,6 @@ def check_stacked_repeats(path=TOY_CLASSIFICATION) -> PropertyResult:
     return PropertyResult("trainer.stacked_repeats", differ, 0, differ == 0)
 
 
-def check_predict_blocks(seed: int = 0) -> PropertyResult:
-    """Outputs of ``network.predict`` that differ from ``forward``'s.
-
-    ``predict`` cuts the rows into blocks, and a block equals the same rows
-    of the whole batch only if this machine's BLAS multiplies a block of
-    rows exactly as it multiplies them inside the whole matrix, so it is
-    measured here: a 5-head 4-100-1 stack on 878 rows (several head groups,
-    as in a banknote fold's evaluation) and one 4-100-1 network on 2.5
-    blocks of rows.
-    """
-    rng = np.random.default_rng(seed)
-    spec = network.LayerSpec(4, (100,), 1)
-    stack = network.stack_models([network.init_model(spec, seed + j) for j in range(5)])
-    single = network.init_model(spec, seed)
-    differ = 0
-    for model, m in ((stack, 878), (single, 5 * network.predict_block_rows(spec) // 2)):
-        X = rng.normal(size=(m, spec.input_dim))
-        differ += int(np.count_nonzero(network.predict(model, X) != network.forward(model, X)[0]))
-    return PropertyResult("network.predict_blocks", differ, 0, differ == 0)
-
-
 def run_all(seed: int = 0) -> list[PropertyResult]:
     results = [
         check_loss_gradients(seed),
@@ -550,7 +529,6 @@ def run_all(seed: int = 0) -> list[PropertyResult]:
         check_lbfgs_curvature_filter(seed),
         check_lbfgs_descent_directions(seed),
         check_stacked_repeats(),
-        check_predict_blocks(seed),
     ]
     results.extend(sbqc_slope_check(tau, seed) for tau in SBQC_TAUS)
     return results

@@ -1,17 +1,15 @@
 """``network.predict``: the outputs of ``forward`` in inference mode, computed
-block by block without a trace, bit for bit."""
+one head at a time without a trace, bit for bit."""
 
 import numpy as np
 import pytest
 
 from quantloss.network import (
-    PREDICT_BLOCK_BYTES,
     LayerSpec,
     Workspace,
     forward,
     init_model,
     predict,
-    predict_block_rows,
     stack_models,
 )
 
@@ -34,11 +32,10 @@ def _models(spec, rng):
 @pytest.mark.parametrize("hidden", [(100,), (8, 5)])
 def test_predict_equals_forward_bit_for_bit(activation, hidden):
     spec = LayerSpec(4, hidden, 1, activation)
-    block = predict_block_rows(spec)
     rng = np.random.default_rng(len(hidden))
     single, stack = _models(spec, rng)
     ws_single, ws_stack = Workspace(spec), Workspace(spec, HEADS)
-    for m in (1, 63, 64, 65, block, block + 1, 878):
+    for m in (1, 63, 64, 65, 878):
         X = rng.normal(size=(m, 4))
         per_head = rng.normal(size=(HEADS, m, 4))
         for model, batch, ws in ((single, X, ws_single), (stack, X, ws_stack), (stack, per_head, ws_stack)):
@@ -49,24 +46,16 @@ def test_predict_equals_forward_bit_for_bit(activation, hidden):
             np.testing.assert_array_equal(predict(model, batch), want)
 
 
-def test_block_rows_are_multiples_of_64_within_the_budget():
-    for width in (3, 5, 100, 1000, 5000):
-        rows = predict_block_rows(LayerSpec(4, (3, width), 1))
-        assert rows % 64 == 0 and rows >= 64
-        assert rows * width * 8 <= PREDICT_BLOCK_BYTES or rows == 64
-        assert (rows + 64) * width * 8 > PREDICT_BLOCK_BYTES
-    assert predict_block_rows(LayerSpec(4, (100,), 1)) == 1280
-
-
-def test_several_blocks_a_short_remainder_and_wide_outputs():
-    spec = LayerSpec(3, (100, 40), 2, "tanh")
-    block = predict_block_rows(spec)
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("m", [64, 333, 1344, 1409, 1600])
+def test_wide_inputs_many_rows_and_wide_outputs(m):
+    """30 features and up to 1600 rows, around where this BLAS switches GEMM
+    kernels, with two hidden layers and two outputs."""
+    spec = LayerSpec(30, (100, 40), 2, "tanh")
+    rng = np.random.default_rng(m)
     single, stack = _models(spec, rng)
-    for m in (2 * block + 1, 2 * block + 63, 2 * block + 64, 3 * block - 1):
-        X = rng.normal(size=(m, 3))
-        np.testing.assert_array_equal(predict(single, X), forward(single, X)[0])
-        np.testing.assert_array_equal(predict(stack, X), forward(stack, X)[0])
+    X = rng.normal(size=(m, 30))
+    np.testing.assert_array_equal(predict(single, X), forward(single, X)[0])
+    np.testing.assert_array_equal(predict(stack, X), forward(stack, X)[0])
 
 
 def test_returns_a_new_array_and_leaves_forward_buffers_alone():

@@ -11,7 +11,6 @@ from quantloss.secant_dist import AsymmetricHSD
 from quantloss.verify import (
     PropertyResult,
     check_backprop_gradients,
-    check_predict_blocks,
     check_sbqc_tail_slope,
     run_all,
     violations,
@@ -99,25 +98,6 @@ class TestBackpropGradients:
         monkeypatch.setattr(network, "backward", scaled_backward)
         for seed in (0, 2):
             assert not check_backprop_gradients(seed).passed
-
-
-class TestPredictBlocks:
-    def test_passes_on_this_machine(self):
-        result = check_predict_blocks()
-        assert result.name == "network.predict_blocks" and result.limit == 0
-        assert result.passed and result.measured == 0
-
-    def test_fails_when_one_output_moves_by_one_ulp(self, monkeypatch):
-        original = network.predict
-
-        def nudged_predict(*args, **kwargs):
-            out = original(*args, **kwargs)
-            out.flat[-1] = np.nextafter(out.flat[-1], np.inf)
-            return out
-
-        monkeypatch.setattr(network, "predict", nudged_predict)
-        result = check_predict_blocks()
-        assert not result.passed and result.measured == 2
 
 
 class TestRepoArtifacts:
