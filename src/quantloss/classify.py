@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import quantile_crossing_grad, quantile_crossing_penalty
-from .network import LayerSpec, MLPModel, Workspace, backward, forward, init_model, predict, stack_models
-from .optim import AdamState, adam_step
+from .losses import quantile_crossing_penalty
+from .network import MLPModel, ModelStack, predict
 from .secant_dist import QUARTER_PI, AsymmetricHSD
 
 #: |z| at which e^{-|z|} is held in ``sbqc_loss``; the rest of |z| is added in log space
@@ -135,61 +134,46 @@ def multi_quantile_train(
     lr: float = 0.01,
     seed: int = 0,
     penalty_history: list | None = None,
+    config=None,
 ) -> MultiQuantileModel:
     """Jointly fit one head per quantile level with the crossing penalty.
 
     The batch objective is sum over levels of the mean sBQC loss plus
     reg_weight times the crossing penalty on the batch latent matrix.  With
     reg_weight = 0 the heads decouple and the result is identical to training
-    each level separately with the same seeds.
+    each level separately with the same seeds.  The grid trains as one run of
+    the trainer's Adam loop, with no validation split, and its final heads
+    are returned.  A ``TrainConfig`` as ``config`` sets the network, the
+    optimizer (L-BFGS is refused: the grid has no line search), the lr
+    policy, dropout, epochs, batch size and seed in place of the other
+    arguments.  ``penalty_history`` receives the crossing penalty on X after
+    each epoch.  A diverging head raises a ValueError naming its level and
+    epoch.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    taus = [float(t) for t in tau_grid]
-    if len(taus) == 0:
-        raise ValueError("tau_grid must be non-empty")
-    if any(not 0.0 < t < 1.0 for t in taus):
-        raise ValueError(f"every tau must lie inside (0, 1), got {taus}")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError(f"tau_grid must be strictly increasing, got {taus}")
-    if reg_weight < 0.0:
-        raise ValueError(f"reg_weight must be >= 0, got {reg_weight}")
-    if reg_weight > 0.0 and len(taus) < 2:
-        raise ValueError("crossing penalty needs a grid of at least 2 levels")
+    from .trainer import OptimizerSpec, TrainConfig, _layer_spec, _train_adam  # trainer imports this module
 
-    n = X.shape[0]
-    spec = LayerSpec(
-        input_dim=X.shape[1],
-        hidden_sizes=tuple(hidden_sizes),
-        output_dim=1,
-        activation=activation,
-        dropout=0.0,
-    )
-    # the heads train as one stack: one forward, sBQC, backward and Adam step per batch
-    stack = stack_models([init_model(spec, head_seed(seed, t)) for t in taus])
-    ws = Workspace(spec, stack.heads)
-    state = AdamState.zeros(stack.params.size)
-    levels = np.array(taus)
-    batch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBA7C4]))
+    X, y, taus = np.asarray(X, dtype=float), np.asarray(y, dtype=float), tuple(float(t) for t in tau_grid)
+    if not taus or any(not 0.0 < t < 1.0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"tau_grid must be non-empty, rise strictly and lie in (0, 1), got {list(taus)}")
+    if reg_weight < 0.0 or (reg_weight > 0.0 and len(taus) < 2):
+        raise ValueError(f"reg_weight must be >= 0, and 0 for a grid of one level, got {reg_weight}")
+    if config is None:
+        config = TrainConfig(task="classification", hidden_sizes=tuple(hidden_sizes), activation=activation,
+                             optimizer=OptimizerSpec(lr=lr), epochs=epochs, batch_size=batch_size, seed=seed)
+    if config.optimizer.kind == "lbfgs":
+        raise ValueError("optimizer.kind 'lbfgs' cannot train a tau grid, which has no line search")
 
-    for epoch in range(epochs):
-        order = batch_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = X[idx], y[idx]
-            out, trace = forward(stack, xb, workspace=ws)
-            q = out[..., 0].T  # (m, heads) latent matrix
-            # sBQC scores the negated quantile head (see module docstring)
-            _, g = sbqc_batch_loss(yb[:, None], -q, levels)
-            grad_q = -g
-            if reg_weight > 0.0:
-                grad_q = grad_q + reg_weight * quantile_crossing_grad(q)
-            backward(stack, trace, grad_q.T[..., None], workspace=ws)
-            adam_step(state, stack.params, ws.grad, lr)
-        if penalty_history is not None and len(taus) >= 2:
-            penalty_history.append(quantile_crossing_penalty(
-                MultiQuantileModel(tuple(taus), stack.unstack()).latents(X)))
-    return MultiQuantileModel(tuple(taus), stack.unstack())
+    def record_penalty(stack) -> None:
+        latents = MultiQuantileModel(taus, stack.unstack()).latents(X)
+        penalty_history.append(quantile_crossing_penalty(latents))
+
+    spec = _layer_spec(config, X.shape[1], 1)
+    (run,) = _train_adam(config, spec, X, y, None, None, [config.seed], taus, reg_weight,
+                         record_penalty if penalty_history is not None and len(taus) >= 2 else None)
+    if run.diverged:
+        raise ValueError(f"tau = {taus[run.diverged_at[1]]:g} head diverged in epoch {run.diverged_at[0]}")
+    heads = ModelStack(spec, tuple(head_seed(config.seed, t) for t in taus), run.final_params).unstack()
+    return MultiQuantileModel(taus, heads)
 
 
 @dataclass

@@ -192,20 +192,14 @@ def cmd_quantiles(args) -> int:
         grid = [float(t) for t in args.tau_grid.split(",")]
     else:
         grid = sbqc.get("tau_grid", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-    model_cfg = doc.get("model", {})
-    train_cfg = doc.get("train", {})
-    seed = args.seed if args.seed is not None else int(train_cfg.get("seed", 0))
+    train_cfg = doc.setdefault("train", {})
+    train_cfg.setdefault("epochs", 100)  # the grid's default; train's is 50
+    if args.seed is not None:
+        train_cfg["seed"] = args.seed
+    config = TrainConfig.from_dict(doc)
     ds_std, _ = standardize_fit(ds)
-    mq = multi_quantile_train(
-        ds_std.X, ds_std.y, grid,
-        hidden_sizes=tuple(model_cfg.get("hidden_sizes", [100])),
-        activation=model_cfg.get("activation", "relu"),
-        reg_weight=float(sbqc.get("reg_weight", 1.0)),
-        epochs=int(train_cfg.get("epochs", 100)),
-        batch_size=int(train_cfg.get("batch_size", 64)),
-        lr=float(doc.get("optimizer", {}).get("lr", 0.01)),
-        seed=seed,
-    )
+    mq = multi_quantile_train(ds_std.X, ds_std.y, grid, reg_weight=float(sbqc.get("reg_weight", 1.0)),
+                              config=config)
     f_idx = args.feature
     lo, hi = ds_std.X[:, f_idx].min(), ds_std.X[:, f_idx].max()
     sweep = np.linspace(lo, hi, args.sweep_points)

@@ -7,14 +7,15 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .classify import predict_prob, sbqc_batch_loss
+from .classify import head_seed, predict_prob, sbqc_batch_loss
 from .data import Dataset, FoldPlan, StandardizeStats, standardize_apply, standardize_fit, subset
-from .losses import LossSpec, batch_loss, slope_bound
+from .losses import LossSpec, batch_loss, quantile_crossing_grad, slope_bound
 from .metrics import ConfusionMatrix, classification_metrics, rmse
 from .network import (
     LayerSpec,
@@ -169,16 +170,7 @@ class TrainConfig:
                 "dropout": self.dropout if isinstance(self.dropout, (int, float))
                 else list(self.dropout),
             },
-            "optimizer": {
-                "kind": self.optimizer.kind,
-                "lr": self.optimizer.lr,
-                "lr_min": self.optimizer.lr_min,
-                "lr_max": self.optimizer.lr_max,
-                "beta1": self.optimizer.beta1,
-                "beta2": self.optimizer.beta2,
-                "m_hist": self.optimizer.m_hist,
-                "max_line_search": self.optimizer.max_line_search,
-            },
+            "optimizer": asdict(self.optimizer),
             "train": {
                 "epochs": self.epochs,
                 "batch_size": self.batch_size,
@@ -188,8 +180,7 @@ class TrainConfig:
             },
         }
         if self.loss is not None:
-            d["loss"] = {"kind": self.loss.kind.value, "h": self.loss.h,
-                         "tau": self.loss.tau, "delta": self.loss.delta}
+            d["loss"] = {**asdict(self.loss), "kind": self.loss.kind.value}
         if self.task == "classification":
             d["sbqc"] = {"tau": self.sbqc_tau}
         return d
@@ -209,6 +200,8 @@ class SingleRun:
     final_params: np.ndarray
     diverged: bool
     line_search_failures: int = 0
+    #: (epoch, head) where an Adam run diverged; head is a tau-grid level's index
+    diverged_at: tuple[int, int] | None = None
 
 
 def _layer_spec(config: TrainConfig, input_dim: int, output_dim: int) -> LayerSpec:
@@ -303,23 +296,14 @@ class _RunLog:
             self.best_epoch = len(self.val_metric) - 1
             self.best_params = params.copy()
 
-    def finish(self, params: np.ndarray, diverged: bool, line_search_failures: int = 0) -> SingleRun:
+    def finish(self, params: np.ndarray, diverged: bool, line_search_failures: int = 0,
+               diverged_at: tuple[int, int] | None = None) -> SingleRun:
         """The run's record, ending at ``params``; with no epoch recorded, they are its best."""
         best_epoch, best_params = self.best_epoch, self.best_params
         if best_epoch < 0:
             best_epoch, best_params = 0, params.copy()
-        return SingleRun(
-            train_loss=self.train_loss,
-            val_loss=self.val_loss,
-            val_metric=self.val_metric,
-            lr_trace=self.lr_trace,
-            k_trace=self.k_trace,
-            best_epoch=best_epoch,
-            best_params=best_params,
-            final_params=params,
-            diverged=diverged,
-            line_search_failures=line_search_failures,
-        )
+        return SingleRun(self.train_loss, self.val_loss, self.val_metric, self.lr_trace, self.k_trace,
+                         best_epoch, best_params, params, diverged, line_search_failures, diverged_at)
 
 
 def train_single(
@@ -454,9 +438,32 @@ def _head_losses(
     return values, grad
 
 
+def _grid_losses(levels: np.ndarray, reg_weight: float,
+                 outputs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-run values and d loss / d outputs for runs of one head per level;
+    ``y`` is one batch of labels per run.  A run's value sums the mean sBQC
+    loss of -Q at each level (see ``classify``); its gradient adds reg_weight
+    times the crossing penalty's.  A run with a non-finite output gets NaN
+    and a zero gradient."""
+    L = len(levels)
+    values, grad = np.full(len(y), np.nan), np.zeros(outputs.shape)
+    for r, q in enumerate(outputs[..., 0].reshape(len(y), L, -1)):
+        if not np.isfinite(q).all():
+            continue
+        q = q.T
+        values[r], g = sbqc_batch_loss(y[r][:, None], -q, levels)
+        g = -g
+        if reg_weight > 0.0:
+            g = g + reg_weight * quantile_crossing_grad(q)
+        grad[r * L : (r + 1) * L, :, 0] = g.T
+    return values, grad
+
+
 def _train_adam(
     config: TrainConfig, spec: LayerSpec,
-    X_train: np.ndarray, y_train: np.ndarray, X_val: np.ndarray, y_val: np.ndarray, seeds: list[int],
+    X_train: np.ndarray, y_train: np.ndarray, X_val: np.ndarray | None, y_val: np.ndarray | None,
+    seeds: list[int], levels: Sequence[float] | None = None, reg_weight: float = 0.0,
+    epoch_end: Callable[[ModelStack], None] | None = None,
 ) -> list[SingleRun]:
     """Adam or LALR-Adam for every seed at once, as one ``ModelStack``.
 
@@ -470,6 +477,12 @@ def _train_adam(
     Adam moments and the workspace gradient are dropped before the step; a
     run whose epoch evaluation is not finite is dropped after the epoch.
     The others go on.
+
+    With a tau grid, ``levels``, a run is one head per level, scored by
+    ``_grid_losses``: its heads share its batch order, head l starts from
+    ``head_seed(seed, levels[l])`` with its own dropout masks and LALR rate,
+    and one head's failure ends the run.  Without a validation split (a
+    grid's case) no epoch is evaluated.  ``epoch_end`` sees each epoch's end.
     """
     opt = config.optimizer
     classification = config.task == "classification"
@@ -480,69 +493,87 @@ def _train_adam(
     y_norm = 0.0 if classification else float(np.max(np.linalg.norm(y_train, axis=1)))
     g0 = activation_at_zero("identity")  # output layer is linear
 
+    if levels is None:
+        taus, loss, init_seeds = [config.sbqc_tau], partial(_head_losses, config), seeds
+    else:
+        taus, loss = list(levels), partial(_grid_losses, np.array(levels), reg_weight)
+        init_seeds = [head_seed(s, t) for s in seeds for t in levels]
+    L = len(taus)  # heads per run
     logs = [_RunLog(classification, lalr) for _ in seeds]
     runs: list[SingleRun | None] = [None] * len(seeds)
     batch_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xBA7C4])) for s in seeds]
-    mask_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xD809])) for s in seeds]
-    live = list(range(len(seeds)))  # the run each head of the stack trains
-    stack = stack_models([init_model(spec, s) for s in seeds])
+    mask_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xD809])) for s in init_seeds]
+    live = list(range(len(seeds)))  # the run each group of L heads of the stack trains
+    stack = stack_models([init_model(spec, s) for s in init_seeds])
     state = AdamState.zeros(stack.params.size, opt.beta1, opt.beta2)
     ws = Workspace(spec, stack.heads)
 
-    def drop(failed: np.ndarray) -> list[int]:
-        """Finish the flagged heads' runs as diverged and compact the stack, its
-        Adam moments and the workspace gradient; returns the positions of the
-        heads that stay."""
+    def heads_of(positions: list[int]) -> list[int]:  # the stack heads of the runs at these positions
+        return [j * L + h for j in positions for h in range(L)]
+
+    def drop(failed: np.ndarray, epoch: int, out: np.ndarray) -> list[int]:
+        """Finish the flagged runs as diverged at ``epoch`` and at their first head whose ``out`` or gradient
+        is not finite; compact the stack, its Adam moments and the workspace gradient; returns the kept."""
         nonlocal stack, state, ws, live
-        heads = stack.params.reshape(len(live), -1)
+        params = stack.params.reshape(len(live), -1)
+        finite = np.isfinite(out).all(axis=(1, 2)) & np.isfinite(ws.grad.reshape(stack.heads, -1)).all(axis=1)
+        culprit = np.argmin(finite.reshape(len(live), L), axis=1)
         for j in np.flatnonzero(failed):
-            runs[live[j]] = logs[live[j]].finish(heads[j].copy(), diverged=True)
+            runs[live[j]] = logs[live[j]].finish(params[j].copy(), True, diverged_at=(epoch, int(culprit[j])))
         keep = np.flatnonzero(~failed).tolist()
         live = [live[j] for j in keep]
         if keep:
-            stack = ModelStack(spec, tuple(stack.seeds[j] for j in keep), heads[keep].ravel())
-            state = AdamState(
-                state.exp_avg.reshape(len(failed), -1)[keep].ravel(),
-                state.exp_avg_sq.reshape(len(failed), -1)[keep].ravel(),
-                state.step, state.beta1, state.beta2, state.eps,
-            )
+            stack = ModelStack(spec, tuple(stack.seeds[h] for h in heads_of(keep)), params[keep].ravel())
+            state = replace(state, exp_avg=state.exp_avg.reshape(len(failed), -1)[keep].ravel(),
+                            exp_avg_sq=state.exp_avg_sq.reshape(len(failed), -1)[keep].ravel())
             grad = ws.grad.reshape(len(failed), -1)[keep]
-            ws = Workspace(spec, len(keep))
+            ws = Workspace(spec, stack.heads)
             ws.grad[...] = grad.ravel()
         return keep
 
     for epoch in range(config.epochs):
+        lr = _epoch_lr(config, epoch)
         order = np.stack([batch_rngs[i].permutation(n) for i in live])
         for start in range(0, n, config.batch_size):
             idx = order[:, start : start + config.batch_size]
             xb, yb = X_train[idx], y_train[idx]
-            mask_seeds = [int(mask_rngs[i].integers(0, 2**63)) for i in live] if use_dropout else 0
+            if L > 1:  # a run's heads share its batch
+                xb = xb[0] if len(live) == 1 else xb.repeat(L, axis=0)
+            mask_seeds = [int(mask_rngs[h].integers(0, 2**63)) for h in heads_of(live)] if use_dropout else 0
             out, trace = forward(stack, xb, train_mode=use_dropout, seed=mask_seeds, workspace=ws)
-            values, pred_grad = _head_losses(config, out, yb)
+            values, pred_grad = loss(out, yb)
             backward(stack, trace, pred_grad, workspace=ws)
             ok = np.isfinite(values)
             if lalr:
                 # a run whose loss failed stops before its rate; one whose gradient fails, after
-                lr, k_z = [1.0] * len(live), trace.head_k_z.tolist()
-                for j in np.flatnonzero(ok).tolist():
-                    ctx = LipschitzContext(m=xb.shape[1], y_norm=y_norm, k_z=k_z[j], g_at_zero=g0,
-                                           tau=config.sbqc_tau)
+                lr, k_z = [1.0] * stack.heads, trace.head_k_z.tolist()
+                for j in np.flatnonzero(np.repeat(ok, L)).tolist():
+                    ctx = LipschitzContext(m=idx.shape[1], y_norm=y_norm, k_z=k_z[j], g_at_zero=g0,
+                                           tau=taus[j % L])
                     K = _layer_constant(config, ctx)
                     lr[j] = lalr_lr(K, opt.lr_min, opt.lr_max)
-                    logs[live[j]].k_trace.append(K)
-                    logs[live[j]].lr_trace.append(lr[j])
-            else:
-                lr = _epoch_lr(config, epoch)
+                    logs[live[j // L]].k_trace.append(K)
+                    logs[live[j // L]].lr_trace.append(lr[j])
+            if ok.all():
+                try:  # adam_step checks the gradient first and writes nothing when it is not finite
+                    adam_step(state, stack.params, ws.grad, lr)
+                    continue
+                except ValueError:
+                    if np.isfinite(ws.grad).all():
+                        raise
             ok &= np.isfinite(ws.grad.reshape(len(live), -1)).all(axis=1)
-            if not ok.all():
-                keep = drop(~ok)
-                if not keep:
-                    return runs
-                order = order[keep]
-                if lalr:
-                    lr = [lr[j] for j in keep]
+            keep = drop(~ok, epoch, out)
+            if not keep:
+                return runs
+            order = order[keep]
+            if lalr:
+                lr = [lr[h] for h in heads_of(keep)]
             adam_step(state, stack.params, ws.grad, lr)
 
+        if epoch_end is not None:
+            epoch_end(stack)
+        if X_val is None:
+            continue
         tl, _ = _head_losses(config, predict(stack, X_train, workspace=ws), y_train)
         out_val = predict(stack, X_val, workspace=ws)
         vl, _ = _head_losses(config, out_val, y_val)
@@ -551,7 +582,7 @@ def _train_adam(
         scored = np.flatnonzero(ok)
         for j, vm in zip(scored, _head_val_metrics(config, out_val[scored], y_val)):
             logs[live[j]].record(float(tl[j]), float(vl[j]), vm, heads[j])
-        if not ok.all() and not drop(~ok):
+        if not ok.all() and not drop(~ok, epoch, out_val):
             return runs
 
     heads = stack.params.reshape(len(live), -1)
@@ -578,19 +609,8 @@ class RunRecord:
     standardizer: StandardizeStats | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "repeat": self.repeat,
-            "diverged": self.diverged,
-            "best_epoch": self.best_epoch,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_metric": self.val_metric,
-            "lr_trace": self.lr_trace,
-            "k_trace": self.k_trace,
-            "test_metrics": self.test_metrics,
-            "val_metrics": self.val_metrics,
-        }
+        """Every field but the parameters and the standardizer."""
+        return {k: v for k, v in vars(self).items() if k not in ("best_params", "standardizer")}
 
 
 @dataclass
@@ -713,7 +733,7 @@ def _jobs(config: TrainConfig, n_folds: int) -> list[list[tuple[int, tuple[int, 
     if config.optimizer.kind == "lbfgs":
         n_bins = runs
     else:
-        n_bins = min(worker_count(), _usable_cpus(), runs)
+        n_bins = _pool_size(runs)
     bins = []
     for part in np.array_split(np.arange(runs), n_bins):
         folds, repeats = np.divmod(part, config.repeats)
