@@ -169,6 +169,12 @@ class ModelStack:
         self.weights, biases = _param_views(self.spec, self.params, self.heads)
         self.biases = [b[:, None, :] for b in biases]
 
+    def head_range(self, start: int, stop: int) -> "ModelStack":
+        """Heads start..stop-1 as a stack whose parameters are a view of this
+        one's, so an update of either shows in both."""
+        size = self.spec.num_params()
+        return ModelStack(self.spec, self.seeds[start:stop], self.params[start * size : stop * size])
+
     def unstack(self) -> list[MLPModel]:
         """One ``MLPModel`` per head, each with a copy of that head's parameters."""
         return [
@@ -293,6 +299,20 @@ class Workspace:
         self._rows: dict[int, _RowBuffers] = {}
         self._scratch = _BackwardScratch(spec, lead)
         self._hidden: dict[int, list[np.ndarray]] = {}
+
+    def head_range(self, start: int, stop: int) -> "Workspace":
+        """A workspace for ``ModelStack.head_range(start, stop)`` of this one's stack.
+
+        Its ``grad`` is a view of those heads' slice of this one's, so a
+        ``backward`` into it fills that slice; it lends the same ``predict``
+        buffers and keeps forward and backward buffers of its own.
+        """
+        ws = Workspace(self.spec, stop - start)
+        size = self.spec.num_params()
+        ws.grad = self.grad[start * size : stop * size]
+        ws._grad_views = _param_views(self.spec, ws.grad, stop - start)
+        ws._hidden = self._hidden
+        return ws
 
     def _check(self, model: MLPModel | ModelStack) -> None:
         if model.heads != self.heads or (model.spec is not self.spec and model.spec != self.spec):

@@ -312,30 +312,54 @@ def train_single(
     y_train: np.ndarray,
     X_val: np.ndarray,
     y_val: np.ndarray,
-    seed: int | Sequence[int],
-) -> SingleRun | list[SingleRun]:
+    seed: int | Sequence[int] | Sequence[Sequence[int]],
+) -> SingleRun | list[SingleRun] | list[list[SingleRun]]:
     """Train one network per seed; returns loss/metric traces and best-validation params.
 
     ``seed`` is one seed, which returns one ``SingleRun``, or a list or tuple
     of seeds, which returns one ``SingleRun`` per seed, each equal, field for
-    field and bit for bit, to the run that seed trains alone.  Adam and
-    LALR-Adam train the runs together as one ``ModelStack`` (see
-    ``_train_adam``); L-BFGS trains them one after another, because its line
-    search is per run.
+    field and bit for bit, to the run that seed trains alone.  For several
+    folds, ``X_train``, ``y_train``, ``X_val`` and ``y_val`` are lists of one
+    array per fold and ``seed`` is a list of one list of seeds per fold; the
+    result is one list of runs per fold.  Adam and LALR-Adam train together,
+    as one ``ModelStack``, every run of the folds that have one number of
+    batches per epoch (see ``_train_adam``); L-BFGS trains the runs one
+    after another, because its line search is per run.
     """
-    seeds = [int(seed)] if np.ndim(seed) == 0 else [int(s) for s in seed]
-    if not seeds:
+    several = isinstance(X_train, (list, tuple))
+    if several:
+        seed_lists = [[int(s) for s in fold_seeds] for fold_seeds in seed]
+        if not len(X_train) == len(y_train) == len(X_val) == len(y_val) == len(seed_lists):
+            raise ValueError("need one training split, validation split and seed list per fold")
+    else:
+        X_train, y_train, X_val, y_val = [X_train], [y_train], [X_val], [y_val]
+        seed_lists = [[int(seed)] if np.ndim(seed) == 0 else [int(s) for s in seed]]
+    if not all(seed_lists):
         raise ValueError("need at least one seed")
     out_dim = 1
     if config.task == "regression":  # targets get their output axis: (m,) -> (m, 1)
-        y_train, y_val = y_train.reshape(len(y_train), -1), y_val.reshape(len(y_val), -1)
-        out_dim = y_train.shape[1]
-    spec = _layer_spec(config, X_train.shape[1], out_dim)
+        y_train = [y.reshape(len(y), -1) for y in y_train]
+        y_val = [y.reshape(len(y), -1) for y in y_val]
+        out_dim = y_train[0].shape[1]
+    spec = _layer_spec(config, X_train[0].shape[1], out_dim)
+    folds = list(zip(X_train, y_train, X_val, y_val))
     if config.optimizer.kind == "lbfgs":
-        runs = [_train_lbfgs(config, spec, X_train, y_train, X_val, y_val, s) for s in seeds]
+        runs = [[_train_lbfgs(config, spec, *split, s) for s in seeds]
+                for split, seeds in zip(folds, seed_lists)]
     else:
-        runs = _train_adam(config, spec, X_train, y_train, X_val, y_val, seeds)
-    return runs[0] if np.ndim(seed) == 0 else runs
+        # the runs of a stack share Adam's step count, so their folds share the batches per epoch
+        stacks: dict[int, list[int]] = {}
+        for f, X in enumerate(X_train):
+            stacks.setdefault(-(-len(X) // config.batch_size), []).append(f)
+        runs = [[] for _ in folds]
+        for members in stacks.values():
+            trained = iter(_train_adam(config, spec, *map(list, zip(*(folds[f] for f in members))),
+                                       [seed_lists[f] for f in members]))
+            for f in members:
+                runs[f] = [next(trained) for _ in seed_lists[f]]
+    if several:
+        return runs
+    return runs[0][0] if np.ndim(seed) == 0 else runs[0]
 
 
 def _train_lbfgs(
@@ -459,24 +483,31 @@ def _grid_losses(levels: np.ndarray, reg_weight: float,
     return values, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite outputs, losses and gradients are checked for
 def _train_adam(
-    config: TrainConfig, spec: LayerSpec,
-    X_train: np.ndarray, y_train: np.ndarray, X_val: np.ndarray | None, y_val: np.ndarray | None,
-    seeds: list[int], levels: Sequence[float] | None = None, reg_weight: float = 0.0,
+    config: TrainConfig, spec: LayerSpec, X_train, y_train, X_val, y_val,
+    seeds: list[int] | list[list[int]], levels: Sequence[float] | None = None, reg_weight: float = 0.0,
     epoch_end: Callable[[ModelStack], None] | None = None,
 ) -> list[SingleRun]:
     """Adam or LALR-Adam for every seed at once, as one ``ModelStack``.
 
-    The runs share the training rows, so their batch boundaries line up, and
-    each batch makes one forward, one loss call, one backward and one
-    ``adam_step`` for all of them.  Each run keeps its own initialisation,
-    batch order, dropout masks, LALR rate and best epoch, and its slice of
-    every operation is the arithmetic of its solo run.  Each step decides
-    once which runs are over: a run whose loss or gradient is not finite is
+    The splits are one fold's arrays, or lists of one array per fold with
+    ``seeds`` a list of one seed list per fold; the runs come back in fold
+    order, in one list.  The runs share Adam's step count, so the folds must
+    share the number of batches per epoch.  Each batch makes one forward,
+    one loss call, one backward and one ``adam_step`` for all of them, each
+    run gathering its rows from its own fold.  Only an epoch's last batch,
+    whose row count differs between folds of different sizes, makes the
+    forward, loss and backward once per row count, each on its runs' slice of
+    the stack and of the workspace gradient, before the one ``adam_step``.
+    Each run keeps its own initialisation, batch order, dropout masks, LALR
+    rate (from its fold's label norm) and best epoch, and its slice of every
+    operation is the arithmetic of its solo run.  Each step decides once
+    which runs are over: a run whose loss or gradient is not finite is
     finished where its solo run stops, and its slices of the parameters, the
     Adam moments and the workspace gradient are dropped before the step; a
-    run whose epoch evaluation is not finite is dropped after the epoch.
-    The others go on.
+    run whose epoch evaluation, on its fold's own training and validation
+    rows, is not finite is dropped after the epoch.  The others go on.
 
     With a tau grid, ``levels``, a run is one head per level, scored by
     ``_grid_losses``: its heads share its batch order, head l starts from
@@ -488,10 +519,24 @@ def _train_adam(
     classification = config.task == "classification"
     lalr = config.lr_policy == "lalr"
     use_dropout = any(p > 0 for p in spec.dropout)
-    n = X_train.shape[0]
-    # the label-norm bound is the max row 2-norm across all training batches
-    y_norm = 0.0 if classification else float(np.max(np.linalg.norm(y_train, axis=1)))
     g0 = activation_at_zero("identity")  # output layer is linear
+    if isinstance(X_train, np.ndarray):  # one fold
+        X_train, y_train, X_val, y_val, seeds = [X_train], [y_train], [X_val], [y_val], [seeds]
+    bs = config.batch_size
+    sizes = [len(X) for X in X_train]
+    batches = {-(-n // bs) for n in sizes}
+    if len(batches) > 1:
+        raise ValueError(f"the folds of one stack need one batch count per epoch, got {sorted(batches)}")
+    last = (batches.pop() - 1) * bs  # where each epoch's last batch starts
+    # the label-norm bound is the max row 2-norm across all of a fold's training batches
+    y_norms = [0.0 if classification else float(np.max(np.linalg.norm(y, axis=1))) for y in y_train]
+    # every fold's rows in one array, so that one gather serves runs of different folds
+    X_rows, y_rows = X_train[0], y_train[0]
+    if len(sizes) > 1:
+        X_rows, y_rows = np.concatenate(X_train), np.concatenate(y_train)
+    first_row = np.cumsum([0] + sizes[:-1]).tolist()
+    fold_of = [f for f, fold_seeds in enumerate(seeds) for _ in fold_seeds]
+    seeds = [s for fold_seeds in seeds for s in fold_seeds]
 
     if levels is None:
         taus, loss, init_seeds = [config.sbqc_tau], partial(_head_losses, config), seeds
@@ -503,20 +548,41 @@ def _train_adam(
     runs: list[SingleRun | None] = [None] * len(seeds)
     batch_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xBA7C4])) for s in seeds]
     mask_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xD809])) for s in init_seeds]
-    live = list(range(len(seeds)))  # the run each group of L heads of the stack trains
-    stack = stack_models([init_model(spec, s) for s in init_seeds])
-    state = AdamState.zeros(stack.params.size, opt.beta1, opt.beta2)
-    ws = Workspace(spec, stack.heads)
 
     def heads_of(positions: list[int]) -> list[int]:  # the stack heads of the runs at these positions
         return [j * L + h for j in positions for h in range(L)]
 
-    def drop(failed: np.ndarray, epoch: int, out: np.ndarray) -> list[int]:
-        """Finish the flagged runs as diverged at ``epoch`` and at their first head whose ``out`` or gradient
-        is not finite; compact the stack, its Adam moments and the workspace gradient; returns the kept."""
-        nonlocal stack, state, ws, live
+    # the run each group of L heads of the stack trains: a fold's runs, and folds of one size, sit together
+    live = sorted(range(len(seeds)), key=lambda i: (sizes[fold_of[i]], fold_of[i]))
+    stack = stack_models([init_model(spec, init_seeds[h]) for h in heads_of(live)])
+    state = AdamState.zeros(stack.params.size, opt.beta1, opt.beta2)
+    ws = Workspace(spec, stack.heads)
+
+    def layout() -> tuple[list[tuple], list[tuple]]:
+        """The live runs in spans of one last-batch row count, and in spans
+        of one fold: (first, end, rows or fold, stack, workspace) for stack
+        positions first..end-1, with a stack and workspace of their heads."""
+        cut: dict[tuple[int, int], tuple[ModelStack, Workspace]] = {(0, len(live)): (stack, ws)}
+
+        def spans(keys: list[int]) -> list[tuple]:
+            edges = [0, *(j for j in range(1, len(keys)) if keys[j] != keys[j - 1]), len(keys)]
+            for a, b in zip(edges, edges[1:]):
+                if (a, b) not in cut:
+                    cut[a, b] = stack.head_range(a * L, b * L), ws.head_range(a * L, b * L)
+            return [(a, b, keys[a], *cut[a, b]) for a, b in zip(edges, edges[1:])]
+
+        return spans([sizes[fold_of[i]] - last for i in live]), spans([fold_of[i] for i in live])
+
+    tails, folds = layout()
+
+    def drop(failed: np.ndarray, epoch: int, outs: list[np.ndarray]) -> list[int]:
+        """Finish the flagged runs as diverged at ``epoch`` and at their first head whose output (``outs``,
+        in stack order) or gradient is not finite; compact the stack, its Adam moments and the workspace
+        gradient; returns the kept."""
+        nonlocal stack, state, ws, live, tails, folds
         params = stack.params.reshape(len(live), -1)
-        finite = np.isfinite(out).all(axis=(1, 2)) & np.isfinite(ws.grad.reshape(stack.heads, -1)).all(axis=1)
+        finite = (np.concatenate([np.isfinite(out).all(axis=(1, 2)) for out in outs])
+                  & np.isfinite(ws.grad.reshape(stack.heads, -1)).all(axis=1))
         culprit = np.argmin(finite.reshape(len(live), L), axis=1)
         for j in np.flatnonzero(failed):
             runs[live[j]] = logs[live[j]].finish(params[j].copy(), True, diverged_at=(epoch, int(culprit[j])))
@@ -529,31 +595,57 @@ def _train_adam(
             grad = ws.grad.reshape(len(failed), -1)[keep]
             ws = Workspace(spec, stack.heads)
             ws.grad[...] = grad.ravel()
+            tails, folds = layout()
         return keep
+
+    def batch(model: ModelStack, work: Workspace, idx: np.ndarray, first: int):
+        """Forward, loss and backward of the runs at stack positions first.. on
+        their rows ``idx``; returns the outputs, which runs' losses are
+        finite and, with LALR, each head's rate."""
+        here = live[first : first + len(idx)]
+        xb, yb = X_rows[idx], y_rows[idx]
+        if L > 1:  # a run's heads share its batch
+            xb = xb[0] if len(here) == 1 else xb.repeat(L, axis=0)
+        mask_seeds = [int(mask_rngs[h].integers(0, 2**63)) for h in heads_of(here)] if use_dropout else 0
+        out, trace = forward(model, xb, train_mode=use_dropout, seed=mask_seeds, workspace=work)
+        values, pred_grad = loss(out, yb)
+        backward(model, trace, pred_grad, workspace=work)
+        ok = np.isfinite(values)
+        if not lalr:
+            return out, ok, None
+        # a run whose loss failed stops before its rate; one whose gradient fails, after
+        rates, k_z = [1.0] * model.heads, trace.head_k_z.tolist()
+        for j in np.flatnonzero(np.repeat(ok, L)).tolist():
+            i = here[j // L]
+            ctx = LipschitzContext(m=idx.shape[1], y_norm=y_norms[fold_of[i]], k_z=k_z[j], g_at_zero=g0,
+                                   tau=taus[j % L])
+            K = _layer_constant(config, ctx)
+            rates[j] = lalr_lr(K, opt.lr_min, opt.lr_max)
+            logs[i].k_trace.append(K)
+            logs[i].lr_trace.append(rates[j])
+        return out, ok, rates
 
     for epoch in range(config.epochs):
         lr = _epoch_lr(config, epoch)
-        order = np.stack([batch_rngs[i].permutation(n) for i in live])
-        for start in range(0, n, config.batch_size):
-            idx = order[:, start : start + config.batch_size]
-            xb, yb = X_train[idx], y_train[idx]
-            if L > 1:  # a run's heads share its batch
-                xb = xb[0] if len(live) == 1 else xb.repeat(L, axis=0)
-            mask_seeds = [int(mask_rngs[h].integers(0, 2**63)) for h in heads_of(live)] if use_dropout else 0
-            out, trace = forward(stack, xb, train_mode=use_dropout, seed=mask_seeds, workspace=ws)
-            values, pred_grad = loss(out, yb)
-            backward(stack, trace, pred_grad, workspace=ws)
-            ok = np.isfinite(values)
+        perms = [batch_rngs[i].permutation(sizes[fold_of[i]]) + first_row[fold_of[i]] for i in live]
+        if len(tails) == 1:
+            order = np.stack(perms)
+        else:  # a run of a smaller fold leaves the end of its row unused
+            order = np.zeros((len(perms), max(sizes)), dtype=perms[0].dtype)
+            for row, perm in zip(order, perms):
+                row[: len(perm)] = perm
+        for start in range(0, last + 1, bs):
+            if start < last or len(tails) == 1:
+                rows = bs if start < last else tails[0][2]
+                out, ok, rates = batch(stack, ws, order[:, start : start + rows], 0)
+                outs = [out]
+            else:
+                outs, oks, part_rates = zip(*(batch(model, work, order[a:b, start : start + m], a)
+                                              for a, b, m, model, work in tails))
+                ok = np.concatenate(oks)
+                rates = [r for part in part_rates for r in part] if lalr else None
             if lalr:
-                # a run whose loss failed stops before its rate; one whose gradient fails, after
-                lr, k_z = [1.0] * stack.heads, trace.head_k_z.tolist()
-                for j in np.flatnonzero(np.repeat(ok, L)).tolist():
-                    ctx = LipschitzContext(m=idx.shape[1], y_norm=y_norm, k_z=k_z[j], g_at_zero=g0,
-                                           tau=taus[j % L])
-                    K = _layer_constant(config, ctx)
-                    lr[j] = lalr_lr(K, opt.lr_min, opt.lr_max)
-                    logs[live[j // L]].k_trace.append(K)
-                    logs[live[j // L]].lr_trace.append(lr[j])
+                lr = rates
             if ok.all():
                 try:  # adam_step checks the gradient first and writes nothing when it is not finite
                     adam_step(state, stack.params, ws.grad, lr)
@@ -562,7 +654,7 @@ def _train_adam(
                     if np.isfinite(ws.grad).all():
                         raise
             ok &= np.isfinite(ws.grad.reshape(len(live), -1)).all(axis=1)
-            keep = drop(~ok, epoch, out)
+            keep = drop(~ok, epoch, outs)
             if not keep:
                 return runs
             order = order[keep]
@@ -572,17 +664,22 @@ def _train_adam(
 
         if epoch_end is not None:
             epoch_end(stack)
-        if X_val is None:
+        if X_val[0] is None:
             continue
-        tl, _ = _head_losses(config, predict(stack, X_train, workspace=ws), y_train)
-        out_val = predict(stack, X_val, workspace=ws)
-        vl, _ = _head_losses(config, out_val, y_val)
-        ok = np.isfinite(tl) & np.isfinite(vl)
         heads = stack.params.reshape(len(live), -1)
-        scored = np.flatnonzero(ok)
-        for j, vm in zip(scored, _head_val_metrics(config, out_val[scored], y_val)):
-            logs[live[j]].record(float(tl[j]), float(vl[j]), vm, heads[j])
-        if not ok.all() and not drop(~ok, epoch, out_val):
+        oks, outs = [], []
+        for a, b, f, model, work in folds:
+            tl, _ = _head_losses(config, predict(model, X_train[f], workspace=work), y_train[f])
+            out_val = predict(model, X_val[f], workspace=work)
+            vl, _ = _head_losses(config, out_val, y_val[f])
+            ok = np.isfinite(tl) & np.isfinite(vl)
+            scored = np.flatnonzero(ok)
+            for j, vm in zip(scored, _head_val_metrics(config, out_val[scored], y_val[f])):
+                logs[live[a + j]].record(float(tl[j]), float(vl[j]), vm, heads[a + j])
+            oks.append(ok)
+            outs.append(out_val)
+        ok = np.concatenate(oks)
+        if not ok.all() and not drop(~ok, epoch, outs):
             return runs
 
     heads = stack.params.reshape(len(live), -1)
@@ -678,45 +775,49 @@ def _init_worker(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> 
     _WORKER_INPUTS = _job_inputs(config, fold_plan, dataset)
 
 
-def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple | None = None) -> list[RunRecord]:
-    """Train and score one piece, a fold's contiguous repeats; a pool worker uses its own inputs.
+def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple | None = None) -> list[RunRecord]:
+    """Train and score one bin of (fold, repeats) pieces, in order; a pool worker uses its own inputs.
 
-    The fold's training split is standardized once for the piece, and its
-    repeats are trained by one ``train_single`` call (one stack for Adam).
+    Each piece's fold is standardized once, and the bin's runs are trained by
+    one ``train_single`` call, which for Adam is one stack for each number
+    of batches per epoch among its folds (one stack on every preset).
     """
     config, fold_plan, dataset, val_ds = inputs or _WORKER_INPUTS
-    fold, repeats = job
-    train_idx, test_idx = fold_plan.folds[fold]
-    tr = subset(dataset, train_idx)
-    te = subset(dataset, test_idx)
-    tr_std, stats = standardize_fit(tr)
-    te_std = standardize_apply(stats, te)
-    val_std = standardize_apply(stats, val_ds)
-    seeds = [derive_seed(config.seed, fold, repeat) for repeat in repeats]
-    runs = train_single(config, tr_std.X, tr_std.y, val_std.X, val_std.y, seeds)
+    trains, tests, vals, standardizers = [], [], [], []
+    for fold, _ in pieces:
+        train_idx, test_idx = fold_plan.folds[fold]
+        tr_std, stats = standardize_fit(subset(dataset, train_idx))
+        trains.append(tr_std)
+        tests.append(standardize_apply(stats, subset(dataset, test_idx)))
+        vals.append(standardize_apply(stats, val_ds))
+        standardizers.append(stats)
+    seeds = [[derive_seed(config.seed, fold, repeat) for repeat in repeats] for fold, repeats in pieces]
+    runs = train_single(config, [tr.X for tr in trains], [tr.y for tr in trains],
+                        [val.X for val in vals], [val.y for val in vals], seeds)
     out_dim = 1 if dataset.y.ndim == 1 else dataset.y.shape[1]
-    spec = _layer_spec(config, tr_std.X.shape[1], out_dim)
+    spec = _layer_spec(config, dataset.X.shape[1], out_dim)
     records = []
-    for repeat, run in zip(repeats, runs):
-        if run.diverged:
-            test_m: dict[str, float] = {}
-            val_m: dict[str, float] = {}
-        else:
-            test_m = _metrics_for(config, run.best_params, spec, te_std.X, te_std.y)
-            val_m = _metrics_for(config, run.best_params, spec, val_std.X, val_std.y)
-        records.append(RunRecord(
-            fold=fold, repeat=repeat, diverged=run.diverged, best_epoch=run.best_epoch,
-            train_loss=run.train_loss, val_loss=run.val_loss, val_metric=run.val_metric,
-            lr_trace=run.lr_trace, k_trace=run.k_trace,
-            test_metrics=test_m, val_metrics=val_m, best_params=run.best_params,
-            standardizer=stats,
-        ))
+    for (fold, repeats), te_std, val_std, stats, fold_runs in zip(pieces, tests, vals, standardizers, runs):
+        for repeat, run in zip(repeats, fold_runs):
+            if run.diverged:
+                test_m: dict[str, float] = {}
+                val_m: dict[str, float] = {}
+            else:
+                test_m = _metrics_for(config, run.best_params, spec, te_std.X, te_std.y)
+                val_m = _metrics_for(config, run.best_params, spec, val_std.X, val_std.y)
+            records.append(RunRecord(
+                fold=fold, repeat=repeat, diverged=run.diverged, best_epoch=run.best_epoch,
+                train_loss=run.train_loss, val_loss=run.val_loss, val_metric=run.val_metric,
+                lr_trace=run.lr_trace, k_trace=run.k_trace,
+                test_metrics=test_m, val_metrics=val_m, best_params=run.best_params,
+                standardizer=stats,
+            ))
     return records
 
 
-def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple | None = None) -> list[RunRecord]:
-    """``_run_job`` on each (fold, repeats) piece of one bin, in order."""
-    return [rec for piece in pieces for rec in _run_job(piece, inputs)]
+def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple | None = None) -> list[RunRecord]:
+    """``_run_bin`` of one piece, a fold's contiguous repeats."""
+    return _run_bin([job], inputs)
 
 
 def _jobs(config: TrainConfig, n_folds: int) -> list[list[tuple[int, tuple[int, ...]]]]:
@@ -725,9 +826,9 @@ def _jobs(config: TrainConfig, n_folds: int) -> list[list[tuple[int, tuple[int, 
     L-BFGS gets one single-run bin per run, because its line search is per
     run.  Adam cuts the (fold, repeat) grid, in order, into min(workers,
     runs) contiguous bins whose run counts differ by at most one, and splits
-    each bin at fold edges into pieces, each trained as one stack: on 2 CPUs,
-    5 folds x 5 repeats go out as 5 + 5 + 3 and 2 + 5 + 5 runs, and one
-    worker gets one piece per fold.
+    each bin at fold edges into pieces, one per fold: on 2 CPUs, 5 folds x 5
+    repeats go out as 5 + 5 + 3 and 2 + 5 + 5 runs, and ``_run_bin`` trains
+    each bin as one stack.
     """
     runs = n_folds * config.repeats
     if config.optimizer.kind == "lbfgs":
@@ -751,6 +852,9 @@ def _run_jobs_in_processes(
     (spawn where forkserver is unavailable) and receive the inputs once,
     through the pool initializer.  The first call in a process starts the
     forkserver; it reads the pinned BLAS setting and keeps it for later pools.
+    Python 3.11's forkserver ignores the caller's ``sys.path``, so the
+    package's parent directory is put on ``PYTHONPATH`` too, for the
+    server's import to find the package where only ``sys.path`` named it.
     """
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
@@ -760,8 +864,13 @@ def _run_jobs_in_processes(
         ctx.set_forkserver_preload([__name__])
     else:
         ctx = multiprocessing.get_context("spawn")
-    caller_blas = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.environ.get("PYTHONPATH", "")
+    if package_root not in path.split(os.pathsep):
+        path = os.pathsep.join(filter(None, (path, package_root)))
+    pinned = {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    caller = {name: os.environ.get(name) for name in pinned}
+    os.environ.update(pinned)
     try:
         with ProcessPoolExecutor(
             n_workers, mp_context=ctx,
@@ -769,10 +878,11 @@ def _run_jobs_in_processes(
         ) as pool:
             return [rec for recs in pool.map(_run_bin, bins) for rec in recs]
     finally:
-        if caller_blas is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = caller_blas
+        for name, value in caller.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
 
 
 def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunReport:
@@ -783,9 +893,10 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
     the best-validation parameters, and is seeded independently.  The work
     goes out as one bin of runs per worker (see ``_jobs``), cut at fold
     edges into pieces of one fold's contiguous repeats: a piece standardizes
-    once and trains its repeats as one stack, and every run equals the run
-    its seed trains alone, so results are identical whatever the binning,
-    the job order or the number of worker processes (``QUANTLOSS_THREADS``).
+    its fold once, and a bin trains as one stack across its folds (see
+    ``_run_bin``).  Every run equals the run its seed trains alone, so
+    results are identical whatever the binning, the job order or the number
+    of worker processes (``QUANTLOSS_THREADS``).
     """
     if config.task != dataset.task:
         raise ValueError(f"config task {config.task!r} does not match dataset task {dataset.task!r}")

@@ -478,28 +478,33 @@ def check_lbfgs_descent_directions(seed: int = 0, grads: int = 1000) -> Property
 
 
 def check_stacked_repeats(path=TOY_CLASSIFICATION) -> PropertyResult:
-    """Fields of a 2-run stack that differ from the same runs trained alone.
+    """Fields of stacked runs that differ from the same runs trained alone.
 
-    ``train_single`` trains the repeats of a fold as one ``ModelStack`` and
-    promises each run bit for bit what it gives alone.  That holds only if
-    this machine's BLAS multiplies each head of a batched matmul exactly as
-    it multiplies one matrix, so it is measured here: LALR-Adam with dropout
-    0.1 on the toy fixture, 2 epochs of 3-row batches (one a remainder).
+    ``train_single`` trains the repeats of a fold, and the folds of a
+    worker's bin, as one ``ModelStack`` and promises each run bit for bit
+    what it gives alone.  That holds only if this machine's BLAS multiplies
+    each head of a batched matmul exactly as it multiplies one matrix, so it
+    is measured here: LALR-Adam with dropout 0.1 on the toy fixture, 2 epochs
+    of 3-row batches, for a 2-run stack on its 8 rows and for a stack across
+    two folds, those rows and the last 7 of them, whose last batches hold 2
+    rows and 1 row.  The second fold is validated on the rows in reverse.
     """
     ds = data.load_csv(path, "label")
     config = trainer.TrainConfig(
         task="classification", hidden_sizes=(16,), dropout=0.1,
         optimizer=trainer.OptimizerSpec(kind="lalr-adam"), epochs=2, batch_size=3,
     )
-    seeds = [11, 12]
-    stacked = trainer.train_single(config, ds.X, ds.y, ds.X, ds.y, seeds)
+    folds = [(ds.X, ds.y, ds.X, ds.y), (ds.X[1:], ds.y[1:], ds.X[::-1], ds.y[::-1])]
     differ = 0
-    for seed, got in zip(seeds, stacked):
-        alone = trainer.train_single(config, ds.X, ds.y, ds.X, ds.y, seed)
-        for name, value in vars(alone).items():
-            other = getattr(got, name)
-            same = np.array_equal(other, value) if isinstance(value, np.ndarray) else other == value
-            differ += not same
+    for splits, seeds in (([folds[0]], [[11, 12]]), (folds, [[11, 12], [13]])):
+        stacked = trainer.train_single(config, *map(list, zip(*splits)), seeds)
+        for split, fold_seeds, runs in zip(splits, seeds, stacked):
+            for seed, got in zip(fold_seeds, runs):
+                alone = trainer.train_single(config, *split, seed)
+                for name, value in vars(alone).items():
+                    other = getattr(got, name)
+                    same = np.array_equal(other, value) if isinstance(value, np.ndarray) else other == value
+                    differ += not same
     return PropertyResult("trainer.stacked_repeats", differ, 0, differ == 0)
 
 
