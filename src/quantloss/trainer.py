@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import site
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -627,25 +628,17 @@ def _train_adam(
 
     for epoch in range(config.epochs):
         lr = _epoch_lr(config, epoch)
-        perms = [batch_rngs[i].permutation(sizes[fold_of[i]]) + first_row[fold_of[i]] for i in live]
-        if len(tails) == 1:
-            order = np.stack(perms)
-        else:  # a run of a smaller fold leaves the end of its row unused
-            order = np.zeros((len(perms), max(sizes)), dtype=perms[0].dtype)
-            for row, perm in zip(order, perms):
-                row[: len(perm)] = perm
+        order = np.zeros((len(live), max(sizes)), dtype=np.intp)  # a smaller fold's run leaves its row's end unused
+        for row, i in zip(order, live):
+            n = sizes[fold_of[i]]
+            row[:n] = batch_rngs[i].permutation(n) + first_row[fold_of[i]]
         for start in range(0, last + 1, bs):
-            if start < last or len(tails) == 1:
-                rows = bs if start < last else tails[0][2]
-                out, ok, rates = batch(stack, ws, order[:, start : start + rows], 0)
-                outs = [out]
-            else:
-                outs, oks, part_rates = zip(*(batch(model, work, order[a:b, start : start + m], a)
-                                              for a, b, m, model, work in tails))
-                ok = np.concatenate(oks)
-                rates = [r for part in part_rates for r in part] if lalr else None
+            groups = tails if start == last else [(0, len(live), bs, stack, ws)]
+            outs, oks, part_rates = zip(*(batch(model, work, order[a:b, start : start + m], a)
+                                          for a, b, m, model, work in groups))
+            ok = np.concatenate(oks)
             if lalr:
-                lr = rates
+                lr = [r for part in part_rates for r in part]
             if ok.all():
                 try:  # adam_step checks the gradient first and writes nothing when it is not finite
                     adam_step(state, stack.params, ws.grad, lr)
@@ -852,9 +845,12 @@ def _run_jobs_in_processes(
     (spawn where forkserver is unavailable) and receive the inputs once,
     through the pool initializer.  The first call in a process starts the
     forkserver; it reads the pinned BLAS setting and keeps it for later pools.
-    Python 3.11's forkserver ignores the caller's ``sys.path``, so the
-    package's parent directory is put on ``PYTHONPATH`` too, for the
+    Python 3.11's forkserver ignores the caller's ``sys.path``, so where the
+    package does not sit in a site-packages directory (where any interpreter
+    finds it), its parent directory is put on ``PYTHONPATH`` too, for the
     server's import to find the package where only ``sys.path`` named it.
+    A site-packages directory is never added: ``PYTHONPATH`` comes before
+    the standard library, which its modules would then shadow.
     """
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
@@ -864,11 +860,12 @@ def _run_jobs_in_processes(
         ctx.set_forkserver_preload([__name__])
     else:
         ctx = multiprocessing.get_context("spawn")
+    pinned = {"OPENBLAS_NUM_THREADS": "1"}
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    site_dirs = {os.path.realpath(d) for d in (*site.getsitepackages(), site.getusersitepackages())}
     path = os.environ.get("PYTHONPATH", "")
-    if package_root not in path.split(os.pathsep):
-        path = os.pathsep.join(filter(None, (path, package_root)))
-    pinned = {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    if os.path.realpath(package_root) not in site_dirs and package_root not in path.split(os.pathsep):
+        pinned["PYTHONPATH"] = os.pathsep.join(filter(None, (path, package_root)))
     caller = {name: os.environ.get(name) for name in pinned}
     os.environ.update(pinned)
     try:

@@ -290,6 +290,39 @@ class TestForkserverPath:
         trainer.train(TrainConfig(task="classification", hidden_sizes=(4,), epochs=1, repeats=1), plan, ds)
         assert seen == [caller_path]
 
+    @pytest.mark.parametrize("where", ["site", "user site"])
+    @pytest.mark.parametrize("caller_path", [None, "elsewhere"])
+    def test_an_installed_package_leaves_pythonpath_alone(self, monkeypatch, where, caller_path):
+        """A site-packages directory on PYTHONPATH would shadow the standard library."""
+        seen = []
+
+        class Started(Exception):
+            pass
+
+        class Recording(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen.append(os.environ.get("PYTHONPATH"))
+                raise Started  # the pool is not needed, only the environment it starts with
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
+        installed = str(REPO / "src")
+        if where == "site":
+            monkeypatch.setattr(trainer.site, "getsitepackages", lambda: ["/nowhere", installed])
+        else:
+            monkeypatch.setattr(trainer.site, "getusersitepackages", lambda: installed)
+        if caller_path is None:
+            monkeypatch.delenv("PYTHONPATH", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONPATH", caller_path)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("QUANTLOSS_THREADS", "2")
+        ds = pima_like(n=120)
+        plan = stratified_kfold(ds, k=2, val_fraction=0.2, seed=0)
+        with pytest.raises(Started):
+            trainer.train(TrainConfig(task="classification", hidden_sizes=(4,), epochs=1, repeats=1), plan, ds)
+        assert seen == [caller_path]
+        assert os.environ.get("PYTHONPATH") == caller_path
+
 
 class TestWarningsAsErrors:
     """A diverging run is a recorded outcome, also where warnings are errors."""
