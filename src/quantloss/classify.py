@@ -203,6 +203,8 @@ def quantile_curve(
     ``background`` fixes the remaining features.  The root is linearly
     interpolated between the two adjacent grid levels whose latents straddle
     zero; rows whose latents all share one sign are marked out of range.
+    Levels whose latents are not finite along the sweep raise a ValueError
+    naming them.
     """
     taus = np.asarray(mq.tau_grid, dtype=float)
     if taus.size < 2:
@@ -222,6 +224,9 @@ def quantile_curve(
     X = np.tile(background, (sweep.size, 1))
     X[:, feature_index] = sweep
     q = mq.latents(X)
+    bad = ~np.isfinite(q).all(axis=0)
+    if bad.any():
+        raise ValueError(f"latents are not finite at tau = {', '.join(f'{t:g}' for t in taus[bad])}")
 
     tau_star = np.full(sweep.size, np.nan)
     status: list[str] = []

@@ -111,6 +111,9 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     ds = load_csv(args.dataset, args.target, delimiter=args.delimiter,
                   header=not args.no_header)
+    if ds.X.shape[1] != model.spec.input_dim:
+        raise CliError(f"dataset {args.dataset} has {ds.X.shape[1]} features, but checkpoint "
+                       f"{args.checkpoint} takes {model.spec.input_dim} inputs")
     if args.standardizer:
         std_path = Path(args.standardizer)
         if not std_path.exists():

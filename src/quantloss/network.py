@@ -227,78 +227,65 @@ class ForwardTrace:
         return np.max(np.abs(a), axis=(-2, -1))
 
 
-class _RowBuffers:
-    """Forward buffers for one batch row count (see ``Workspace``)."""
+class _Prefixes:
+    """Flat arrays sized for the most rows seen so far, lent for m rows as
+    C-contiguous lead + (m, width) views of their prefixes.  ``groups`` lists
+    each group's arrays as (width, dtype), or None where no array is needed."""
 
-    def __init__(self, spec: LayerSpec, lead: tuple[int, ...], m: int):
-        dims = spec.layer_dims
-        hidden = [fan_out for _, fan_out in dims[:-1]]
-        self.pre = [np.empty(lead + (m, fan_out)) for _, fan_out in dims]
-        self.act = [np.empty(lead + (m, h)) for h in hidden]
-        self.mask = [np.empty(lead + (m, h)) if p > 0.0 else None for h, p in zip(hidden, spec.dropout)]
+    def __init__(self, lead: tuple[int, ...], groups: list[list[tuple[int, type] | None]]):
+        self.lead, self.groups = lead, groups
+        self.rows, self.views = -1, {}  # nothing allocated yet
 
-
-class _BackwardScratch:
-    """Backward-only buffers shared by every row count: flat arrays sized for
-    the most rows seen so far, handed out as C-contiguous views of a prefix."""
-
-    def __init__(self, spec: LayerSpec, lead: tuple[int, ...]):
-        self.lead = lead
-        self.heads = int(np.prod(lead))
-        self.hidden = [fan_out for _, fan_out in spec.layer_dims[:-1]]
-        # relu's derivative is 0 or 1, so a bool flag carries it exactly
-        slope = {"relu": bool, "tanh": float}.get(spec.activation)
-        self.layout = [(spec.output_dim, float)] + [(h, float) for h in self.hidden]
-        if slope is not None:
-            self.layout += [(h, slope) for h in self.hidden]
-        self.rows = 0
-        self.views: dict[int, tuple] = {}
-
-    def get(self, m: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """For m rows: (output gradient, d loss / d activations per hidden
-        layer, activation slope per hidden layer; empty for identity)."""
+    def get(self, m: int) -> tuple[list, ...]:
+        """One list of views per group, with None where the group has None."""
         views = self.views.get(m)
         if views is None:
+            n = int(np.prod(self.lead)) * m
             if m > self.rows:
                 self.rows, self.views = m, {}
-                self.flat = [np.empty(self.heads * m * w, dtype) for w, dtype in self.layout]
-            v = [
-                f[: self.heads * m * w].reshape(self.lead + (m, w))
-                for f, (w, _) in zip(self.flat, self.layout)
-            ]
-            n = len(self.hidden)
-            views = self.views[m] = (v[0], v[1 : n + 1], v[n + 1 :])
+                self.flat = [[c and np.empty(n * c[0], c[1]) for c in group] for group in self.groups]
+            views = self.views[m] = tuple(
+                [c and f[: n * c[0]].reshape(self.lead + (m, c[0])) for f, c in zip(flat, group)]
+                for flat, group in zip(self.flat, self.groups)
+            )
         return views
 
 
 class Workspace:
-    """Reusable buffers for ``forward`` and ``backward`` on one network shape.
+    """Reusable buffers for ``forward``, ``backward`` and ``predict`` on one network shape.
 
-    Forward buffers are kept per batch row count, so a loop that alternates
-    minibatches with whole-split evaluation allocates each set once; the
-    backward-only scratch is shared by all row counts.  The arrays a call
-    returns are these buffers: outputs and trace arrays stay valid only until
-    the next ``forward`` on this workspace with the same row count, and
-    gradients (``grad`` and the per-layer views ``backward`` returns) until
-    the next ``backward`` on it.  Copy what must outlive that.  A workspace
-    for a ``ModelStack`` is built with its head count; its buffers have a
-    leading head axis and serve a batch shared by every head, (m, d), and
-    one batch per head, (heads, m, d), alike.  ``predict`` borrows one
-    buffer of one head's m rows per hidden layer, which the next ``predict``
-    on this workspace overwrites; it touches no ``forward`` buffer.
+    Each kind of call has one buffer set, allocated on first use, sized for
+    the most rows it has seen and lent to fewer rows as a prefix.  The arrays
+    a call returns are these buffers: outputs and trace arrays stay valid
+    only until the next ``forward`` on this workspace, whatever its row
+    count, and gradients (``grad`` and the per-layer views ``backward``
+    returns) until the next ``backward`` on it.  Copy what must outlive
+    that.  A workspace for a ``ModelStack`` is built with its head count;
+    its buffers have a leading head axis and serve a batch shared by every
+    head, (m, d), and one batch per head, (heads, m, d), alike.  ``predict``
+    borrows one buffer of one head's m rows per hidden layer, which the next
+    ``predict`` on this workspace overwrites; it touches no ``forward`` buffer.
     """
 
     def __init__(self, spec: LayerSpec, heads: int | None = None):
-        self.spec = spec
-        self.heads = heads
-        lead = () if heads is None else (heads,)
+        self._bind(spec, heads, np.zeros((heads or 1) * spec.num_params()))
+
+    def _bind(self, spec: LayerSpec, heads: int | None, grad: np.ndarray, shared: _Prefixes | None = None) -> None:
+        self.spec, self.heads = spec, heads
         #: flat gradient vector, laid out like ``MLPModel.params`` (or ``ModelStack.params``)
-        self.grad = np.zeros((heads or 1) * spec.num_params())
-        self._grad_views = _param_views(spec, self.grad, heads)
-        self._lead = lead
-        self._rows: dict[int, _RowBuffers] = {}
-        self._scratch = _BackwardScratch(spec, lead)
-        self._hidden: dict[int, list[np.ndarray]] = {}
+        self.grad = grad
+        self._grad_views = _param_views(spec, grad, heads)
+        self._lead = lead = () if heads is None else (heads,)
+        hidden = [(h, float) for h in spec.hidden_sizes]
+        # relu's derivative is 0 or 1, so a bool flag carries it exactly
+        slope = {"relu": bool, "tanh": float}.get(spec.activation)
+        # forward: pre-activations, activations, dropout masks; backward: output gradient,
+        # d loss / d activations, activation slopes; predict: one head's hidden rows
+        self._forward = _Prefixes(lead, [[(w, float) for _, w in spec.layer_dims], hidden,
+                                         [c if p > 0.0 else None for c, p in zip(hidden, spec.dropout)]])
+        self._backward = _Prefixes(lead, [[(spec.output_dim, float)], hidden,
+                                          [(h, slope) for h in spec.hidden_sizes] if slope else []])
+        self._predict = shared or _Prefixes((), [hidden])
 
     def head_range(self, start: int, stop: int) -> "Workspace":
         """A workspace for ``ModelStack.head_range(start, stop)`` of this one's stack.
@@ -307,30 +294,14 @@ class Workspace:
         ``backward`` into it fills that slice; it lends the same ``predict``
         buffers and keeps forward and backward buffers of its own.
         """
-        ws = Workspace(self.spec, stop - start)
         size = self.spec.num_params()
-        ws.grad = self.grad[start * size : stop * size]
-        ws._grad_views = _param_views(self.spec, ws.grad, stop - start)
-        ws._hidden = self._hidden
+        ws = Workspace.__new__(Workspace)
+        ws._bind(self.spec, stop - start, self.grad[start * size : stop * size], self._predict)
         return ws
 
     def _check(self, model: MLPModel | ModelStack) -> None:
         if model.heads != self.heads or (model.spec is not self.spec and model.spec != self.spec):
             raise ValueError("workspace was built for a different network shape")
-
-    def _buffers(self, model: MLPModel | ModelStack, m: int) -> _RowBuffers:
-        self._check(model)
-        bufs = self._rows.get(m)
-        if bufs is None:
-            bufs = self._rows[m] = _RowBuffers(self.spec, self._lead, m)
-        return bufs
-
-    def _hidden_rows(self, m: int) -> list[np.ndarray]:
-        """``predict``'s (m, width) buffer per hidden layer, shared by the heads."""
-        bufs = self._hidden.get(m)
-        if bufs is None:
-            bufs = self._hidden[m] = [np.empty((m, h)) for h in self.spec.hidden_sizes]
-        return bufs
 
 
 def init_model(spec: LayerSpec, seed: int) -> MLPModel:
@@ -384,16 +355,19 @@ def forward(
 
     Dropout is applied to hidden activations only when ``train_mode`` is set,
     with inverted scaling so inference needs no rescale.  The outputs and the
-    trace live in ``workspace``'s buffers (see ``Workspace`` for how long they
-    stay valid); without one, a fresh workspace makes them new arrays.  A
-    ``ModelStack`` runs every head on an (m, d) batch, or head j on row j of a
-    (heads, m, d) batch; its outputs are (heads, m, out).  With dropout,
-    ``seed`` may be one seed per head: head j's masks are then drawn by its
-    own generator into its own slice, so they equal its single-network masks.
+    trace live in ``workspace``'s buffers and stay valid only until the next
+    ``forward`` on it, at any row count (see ``Workspace``); without one, a
+    fresh workspace makes them new arrays.  A ``ModelStack`` runs every head
+    on an (m, d) batch, or head j on row j of a (heads, m, d) batch; its
+    outputs are (heads, m, out).  With dropout, ``seed`` may be one seed per
+    head: head j's masks are then drawn by its own generator into its own
+    slice, so they equal its single-network masks.
     """
     x = _checked_batch(model, batch)
     heads = model.heads
-    bufs = (workspace or Workspace(model.spec, heads))._buffers(model, x.shape[-2])
+    workspace = workspace or Workspace(model.spec, heads)
+    workspace._check(model)
+    pre_bufs, act_bufs, mask_bufs = workspace._forward.get(x.shape[-2])
     rng = head_rngs = None
     if train_mode and np.ndim(seed) == 0:
         rng = np.random.default_rng(seed)
@@ -407,16 +381,16 @@ def forward(
     pre, acts, masks = [], [x], []
     a = x
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = _dense(a, w, b, bufs.pre[layer])
+        z = _dense(a, w, b, pre_bufs[layer])
         pre.append(z)
         mask = None
         if layer == last:
             a = z
         else:
-            a = _activate(kind, z, bufs.act[layer])
+            a = _activate(kind, z, act_bufs[layer])
             p = model.spec.dropout[layer]
             if train_mode and p > 0.0:
-                mask = bufs.mask[layer]
+                mask = mask_bufs[layer]
                 if rng is not None:
                     rng.random(out=mask)
                 else:
@@ -424,7 +398,7 @@ def forward(
                         head_rng.random(out=head_mask)
                 np.greater_equal(mask, p, out=mask)
                 mask /= 1.0 - p
-                a = np.multiply(a, mask, out=bufs.act[layer])
+                a = np.multiply(a, mask, out=act_bufs[layer])
         masks.append(mask)
         acts.append(a)
     return a, ForwardTrace(pre, acts, masks)
@@ -457,7 +431,7 @@ def predict(
             (x[j] if x.ndim == 3 else x, [w[j] for w in model.weights], [b[j] for b in model.biases], out[j])
             for j in range(model.heads)
         ]
-    hidden = ws._hidden_rows(m)
+    (hidden,) = ws._predict.get(m)
     for a, weights, biases, head_out in runs:
         for w, b, z in zip(weights[:-1], biases[:-1], hidden):
             a = _activate(spec.activation, _dense(a, w, b, z), z)
@@ -491,7 +465,7 @@ def backward(
         )
     workspace = workspace or Workspace(model.spec, model.heads)
     workspace._check(model)
-    out_grad, da_bufs, slopes = workspace._scratch.get(g.shape[-2])
+    (out_grad,), da_bufs, slopes = workspace._backward.get(g.shape[-2])
     if not (g.flags.c_contiguous and g.flags.aligned):
         # a strided gradient can take another BLAS path and change the rounding
         np.copyto(out_grad, g)
@@ -581,9 +555,18 @@ def save_checkpoint(model: MLPModel, path) -> None:
 
 
 def load_checkpoint(path) -> MLPModel:
+    """The model ``save_checkpoint`` wrote; a faulty file raises a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    spec = LayerSpec.from_dict(doc["spec"])
-    weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-    return MLPModel(spec=spec, seed=int(doc["seed"]), weights=weights, biases=biases)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"checkpoint {path} is not valid JSON: {e}") from e
+    try:
+        spec = LayerSpec.from_dict(doc["spec"])
+        weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
+        biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+        return MLPModel(spec=spec, seed=int(doc["seed"]), weights=weights, biases=biases)
+    except KeyError as e:
+        raise ValueError(f"checkpoint {path} has no field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint {path} is not a network checkpoint: {e}") from e

@@ -33,6 +33,8 @@ from .network import (
 )
 from .optim import (
     K_FLOOR,
+    LR_MAX_DEFAULT,
+    LR_MIN_DEFAULT,
     AdamState,
     LBFGSMemory,
     LipschitzContext,
@@ -78,8 +80,8 @@ def derive_seed(*parts: int) -> int:
 class OptimizerSpec:
     kind: str = "adam"
     lr: float = 0.01
-    lr_min: float = 1e-4
-    lr_max: float = 10.0
+    lr_min: float = LR_MIN_DEFAULT
+    lr_max: float = LR_MAX_DEFAULT
     beta1: float = 0.9
     beta2: float = 0.999
     m_hist: int = 10
@@ -563,6 +565,7 @@ def _train_adam(
         """The live runs in spans of one last-batch row count, and in spans
         of one fold: (first, end, rows or fold, stack, workspace) for stack
         positions first..end-1, with a stack and workspace of their heads."""
+        # a span of the whole stack keeps its workspace, whose buffers then lend the last batch a prefix
         cut: dict[tuple[int, int], tuple[ModelStack, Workspace]] = {(0, len(live)): (stack, ws)}
 
         def spans(keys: list[int]) -> list[tuple]:
@@ -897,6 +900,9 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
     """
     if config.task != dataset.task:
         raise ValueError(f"config task {config.task!r} does not match dataset task {dataset.task!r}")
+    if fold_plan.val_idx.size == 0:
+        # with no validation rows no epoch is scored, and every run would end diverged at epoch 0
+        raise ValueError("the fold plan has no validation rows: train.val_fraction must leave at least one")
     bins = _jobs(config, len(fold_plan.folds))
     n_workers = _pool_size(len(bins))
     if n_workers > 1:

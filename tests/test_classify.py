@@ -276,3 +276,11 @@ class TestQuantileCurve:
         assert doc["tau_grid"] == [0.3, 0.7]
         assert len(doc["tau_star"]) == 7
         assert set(doc["status"]) <= {"ok", "below_grid", "above_grid"}
+
+
+def test_quantile_curve_names_the_levels_whose_latents_are_not_finite():
+    mq = multi_quantile_train(*_separable_toy(16), [0.25, 0.5, 0.75], hidden_sizes=(4,), epochs=1,
+                              seed=0, reg_weight=0.0)
+    mq.models[1].params[-1] = np.nan  # the output bias of the tau = 0.5 head
+    with pytest.raises(ValueError, match=r"not finite at tau = 0\.5$"):
+        quantile_curve(mq, 0, [0.0, 1.0], np.zeros(2))

@@ -12,7 +12,7 @@ import pytest
 from quantloss.cli import main
 from quantloss.data import load_csv, standardize_fit, write_csv
 from quantloss.losses import LossKind
-from quantloss.network import forward, init_model
+from quantloss.network import LayerSpec, forward, init_model, save_checkpoint
 from quantloss.optim import LipschitzContext
 from quantloss.synthetic import pima_like, wine_like
 from quantloss.trainer import TrainConfig, _layer_constant, _layer_spec
@@ -344,3 +344,48 @@ class TestVerifyCommand:
         rc = main(["verify", "--seed", "0", "--strict"])
         assert rc == 2
         assert "optim.sbqc_slope[tau=0.5]" in capsys.readouterr().out
+
+
+def test_train_without_validation_rows_exits_1_naming_val_fraction(cls_setup, capsys):
+    tp, cpath, config = cls_setup
+    config["train"]["val_fraction"] = 0
+    cpath.write_text(json.dumps(config))
+    out = tp / "run"
+    assert main(["train", "--config", str(cpath), "--out", str(out)]) == 1
+    assert "train.val_fraction" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
+class TestEvalNamesTheFaultyArtifact:
+    @pytest.fixture
+    def artifacts(self, tmp_path):
+        """A 4-input checkpoint, its JSON document and an 8-feature pima-like CSV."""
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(init_model(LayerSpec(4, (3,), 1), 0), ckpt)
+        csv = tmp_path / "pima.csv"
+        write_csv(pima_like(n=40), csv)
+        return ckpt, json.loads(ckpt.read_text()), csv
+
+    def _eval(self, ckpt, csv):
+        return main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv), "--target", "diabetes"])
+
+    def test_truncated_checkpoint(self, artifacts, capsys):
+        ckpt, _, csv = artifacts
+        ckpt.write_text(ckpt.read_text()[:40])
+        assert self._eval(ckpt, csv) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "not valid JSON" in err
+
+    def test_checkpoint_without_spec(self, artifacts, capsys):
+        ckpt, doc, csv = artifacts
+        del doc["spec"]
+        ckpt.write_text(json.dumps(doc))
+        assert self._eval(ckpt, csv) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "no field 'spec'" in err
+
+    def test_dataset_of_another_width(self, artifacts, capsys):
+        ckpt, _, csv = artifacts
+        assert self._eval(ckpt, csv) == 1
+        err = capsys.readouterr().err
+        assert f"dataset {csv} has 8 features, but checkpoint {ckpt} takes 4 inputs" in err

@@ -396,3 +396,11 @@ class TestProcessPool:
         par = train(cfg, plan, ds)
         assert seq.to_dict() == par.to_dict()
         assert os.environ.get("OPENBLAS_NUM_THREADS") == caller_blas
+
+
+def test_a_plan_without_validation_rows_is_refused_naming_val_fraction():
+    ds = pima_like(n=120)
+    plan = stratified_kfold(ds, k=2, val_fraction=0.0, seed=0)
+    assert plan.val_idx.size == 0
+    with pytest.raises(ValueError, match=r"train\.val_fraction"):
+        train(_small_cls_config(epochs=1, repeats=1), plan, ds)

@@ -18,6 +18,7 @@ from quantloss.network import (
     flatten_arrays,
     forward,
     init_model,
+    predict,
     set_flat_params,
     unflatten_params,
 )
@@ -184,3 +185,66 @@ def test_reused_workspace_allocates_less_than_one_activation_array():
     # a fresh workspace's peak shows the measurement sees array allocations
     assert peak_of_step(Workspace(spec)) > activation_bytes
     assert peak_of_step(ws) < activation_bytes
+
+
+def _peak_bytes(call):
+    """The call's result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneBufferSetPerCallKind:
+    """A call with fewer rows than an earlier one borrows a prefix of that
+    call's buffers and allocates none; a head range allocates no gradient."""
+
+    spec = LayerSpec(11, (100,), 1)
+    activation_bytes = 300 * 100 * 8
+
+    def test_forward_at_fewer_rows_reuses_the_larger_buffers(self):
+        model = init_model(self.spec, 0)
+        ws = Workspace(self.spec)
+        rng = np.random.default_rng(0)
+        forward(model, rng.normal(size=(500, 11)), workspace=ws)
+        x = rng.normal(size=(300, 11))
+        (out, trace), peak = _peak_bytes(lambda: forward(model, x, workspace=ws))
+        assert peak < self.activation_bytes
+        want_out, pre, acts, _ = ref_forward(model, x)
+        np.testing.assert_array_equal(out, want_out)
+        _assert_lists_equal(trace.pre_activations, pre)
+        _assert_lists_equal(trace.activations, acts)
+        assert all(a.flags.c_contiguous for a in trace.pre_activations + trace.activations)
+
+    def test_forward_at_more_rows_after_fewer_matches_the_reference(self):
+        model = init_model(self.spec, 1)
+        ws = Workspace(self.spec)
+        rng = np.random.default_rng(1)
+        for rows in (3, 8, 5):
+            x = rng.normal(size=(rows, 11))
+            out, trace = forward(model, x, workspace=ws)
+            want_out, pre, acts, _ = ref_forward(model, x)
+            np.testing.assert_array_equal(out, want_out)
+            _assert_lists_equal(trace.activations, acts)
+
+    def test_predict_at_fewer_rows_allocates_only_its_result(self):
+        model = init_model(self.spec, 0)
+        ws = Workspace(self.spec)
+        rng = np.random.default_rng(0)
+        predict(model, rng.normal(size=(500, 11)), workspace=ws)
+        x = rng.normal(size=(300, 11))
+        out, peak = _peak_bytes(lambda: predict(model, x, workspace=ws))
+        # beside the result, only transients: the batch's finiteness flags and
+        # numpy's 64 KB ufunc buffer for the broadcast bias add
+        assert peak - out.nbytes < self.activation_bytes // 2
+        np.testing.assert_array_equal(out, forward(model, x)[0])
+
+    def test_head_range_allocates_no_gradient(self):
+        ws = Workspace(self.spec, 50)
+        part, peak = _peak_bytes(lambda: ws.head_range(5, 45))
+        size = self.spec.num_params()
+        assert part.grad.shape == (40 * size,)
+        assert np.shares_memory(part.grad, ws.grad[5 * size : 45 * size])
+        assert peak < part.grad.nbytes // 10
