@@ -19,7 +19,8 @@ from .classify import curve_to_csv, curve_to_json, multi_quantile_train, quantil
 from .data import load_csv, standardize_fit, stratified_kfold
 from .network import forward, init_model, load_checkpoint, predict, save_checkpoint
 from .optim import LipschitzContext, lalr_lr, sbqc_lipschitz_constant
-from .trainer import TrainConfig, _layer_constant, _layer_spec, _score, epochs_to_threshold, train
+from .trainer import (TrainConfig, _check_threshold_metric, _layer_constant, _layer_spec, _score,
+                      epochs_to_threshold, train)
 
 
 class CliError(Exception):
@@ -63,7 +64,12 @@ def _resolve_dataset(doc: dict, dataset_override: str | None):
 
 
 def cmd_train(args) -> int:
+    if (args.threshold is None) != (args.threshold_metric is None):
+        missing = "--threshold-metric" if args.threshold_metric is None else "--threshold"
+        raise CliError(f"--threshold and --threshold-metric go together; {missing} is missing")
     doc = load_config(args.config)
+    if args.threshold_metric is not None:
+        _check_threshold_metric(args.threshold_metric, doc["task"])
     if args.seed is not None:
         doc.setdefault("train", {})["seed"] = args.seed
     ds = _resolve_dataset(doc, args.dataset)
@@ -99,7 +105,7 @@ def cmd_train(args) -> int:
         mean_s = "n/a" if mean is None else f"{mean:.4f}"
         std_s = "n/a" if std_v is None else f"{std_v:.4f}"
         print(f"{name}: mean {mean_s} std {std_s} (n={agg.get('n')})")
-    if args.threshold is not None and args.threshold_metric is not None:
+    if args.threshold_metric is not None:
         e = epochs_to_threshold(report, args.threshold_metric, args.threshold)
         print(f"epochs_to_threshold[{args.threshold_metric} @ {args.threshold}]: "
               f"{'never' if e is None else e}")

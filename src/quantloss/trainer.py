@@ -8,7 +8,7 @@ import json
 import math
 import os
 import site
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -94,6 +94,12 @@ class OptimizerSpec:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if not 0 < self.lr_min <= self.lr_max:
             raise ValueError(f"need 0 < lr_min <= lr_max, got [{self.lr_min}, {self.lr_max}]")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("m_hist", "max_line_search"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerSpec":
@@ -426,7 +432,7 @@ def _train_lbfgs(
     return log.finish(params, diverged, ls_failures)
 
 
-def _stack_loss(
+def _head_losses(
     config: TrainConfig, outputs: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-head mean batch loss and d loss / d outputs for (heads, m, out) outputs.
@@ -434,35 +440,27 @@ def _stack_loss(
     ``y`` is one batch of targets per head or one batch shared by every head
     (regression targets with their output axis).  Head j's value is the mean
     over its own row, as ``np.mean`` takes it alone, and the gradient is
-    divided by m, so each head's numbers equal its solo run's.
+    divided by m, so each head's numbers equal its solo run's.  A head whose
+    outputs are not finite gets the value NaN and a zero gradient, and the
+    other heads are scored in one call.  Non-finite outputs are the one
+    reason a single head's loss raises, so a ValueError of the finite heads
+    (labels outside {0, 1}, non-finite targets) belongs to the batch and
+    propagates.
     """
-    if config.task == "classification":
+    classification = config.task == "classification"
+    finite = np.isfinite(outputs).all(axis=(1, 2))
+    if not finite.all():
+        values, grad = np.full(len(outputs), np.nan), np.zeros_like(outputs)
+        if finite.any():
+            y = np.broadcast_to(y, outputs.shape[:-1] if classification else outputs.shape)
+            values[finite], grad[finite] = _head_losses(config, outputs[finite], y[finite])
+        return values, grad
+    if classification:
         values, grad = sbqc_batch_loss(y, outputs[..., 0], config.sbqc_tau)
         return values, grad[..., None]
-    targets = np.broadcast_to(y, outputs.shape)
-    per_example, grad = batch_loss(config.loss, outputs, targets, reduction="none")
+    per_example, grad = batch_loss(config.loss, outputs, np.broadcast_to(y, outputs.shape), reduction="none")
     m = outputs.shape[1]
     return np.add.reduce(per_example, axis=1) / m, grad / m
-
-
-def _head_losses(
-    config: TrainConfig, outputs: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_stack_loss``, where a head whose outputs are not finite gets the value
-    NaN and a zero gradient, and the other heads are scored in one call.
-
-    Non-finite outputs are the one reason a single head's loss raises, so a
-    ValueError of the finite heads (labels outside {0, 1}, non-finite
-    targets) belongs to the batch and propagates.
-    """
-    finite = np.isfinite(outputs).all(axis=(1, 2))
-    if finite.all():
-        return _stack_loss(config, outputs, y)
-    values, grad = np.full(len(outputs), np.nan), np.zeros_like(outputs)
-    if finite.any():
-        y = np.broadcast_to(y, outputs.shape[:-1] if config.task == "classification" else outputs.shape)
-        values[finite], grad[finite] = _stack_loss(config, outputs[finite], y[finite])
-    return values, grad
 
 
 def _grid_losses(levels: np.ndarray, reg_weight: float,
@@ -507,10 +505,14 @@ def _train_adam(
     rate (from its fold's label norm) and best epoch, and its slice of every
     operation is the arithmetic of its solo run.  Each step decides once
     which runs are over: a run whose loss or gradient is not finite is
-    finished where its solo run stops, and its slices of the parameters, the
-    Adam moments and the workspace gradient are dropped before the step; a
-    run whose epoch evaluation, on its fold's own training and validation
-    rows, is not finite is dropped after the epoch.  The others go on.
+    finished where its solo run stops, before the step; a run whose epoch
+    evaluation, on its fold's own training and validation rows, is not
+    finite is finished after the epoch.  The others go on.  The stack keeps
+    its size and every run its position: a finished run is frozen, its first
+    moment zeroed once and its gradient before every step, so that Adam
+    leaves its heads exactly where they finished.  They still compute, with
+    no rate, trace or epoch recorded, until the stack ends or every run has
+    finished.
 
     With a tau grid, ``levels``, a run is one head per level, scored by
     ``_grid_losses``: its heads share its batch order, head l starts from
@@ -555,58 +557,46 @@ def _train_adam(
     def heads_of(positions: list[int]) -> list[int]:  # the stack heads of the runs at these positions
         return [j * L + h for j in positions for h in range(L)]
 
-    # the run each group of L heads of the stack trains: a fold's runs, and folds of one size, sit together
-    live = sorted(range(len(seeds)), key=lambda i: (sizes[fold_of[i]], fold_of[i]))
-    stack = stack_models([init_model(spec, init_seeds[h]) for h in heads_of(live)])
+    # the run at each stack position, L heads each: a fold's runs, and folds of one size, sit together
+    pos = sorted(range(len(seeds)), key=lambda i: (sizes[fold_of[i]], fold_of[i]))
+    stack = stack_models([init_model(spec, init_seeds[h]) for h in heads_of(pos)])
     state = AdamState.zeros(stack.params.size, opt.beta1, opt.beta2)
     ws = Workspace(spec, stack.heads)
+    params, grads, moments = (a.reshape(len(pos), -1) for a in (stack.params, ws.grad, state.exp_avg))
+    done = np.zeros(len(pos), dtype=bool)  # the finished runs, whose heads stay where they finished
 
-    def layout() -> tuple[list[tuple], list[tuple]]:
-        """The live runs in spans of one last-batch row count, and in spans
-        of one fold: (first, end, rows or fold, stack, workspace) for stack
-        positions first..end-1, with a stack and workspace of their heads."""
-        # a span of the whole stack keeps its workspace, whose buffers then lend the last batch a prefix
-        cut: dict[tuple[int, int], tuple[ModelStack, Workspace]] = {(0, len(live)): (stack, ws)}
+    def spans(keys: list[int]) -> list[tuple]:
+        """The stack positions in spans of one key: (first, end, key, stack, workspace) for positions
+        first..end-1, with a stack and workspace of their heads; a span of the whole stack keeps its
+        workspace, whose buffers then lend the last batch a prefix."""
+        edges = [0, *(j for j in range(1, len(keys)) if keys[j] != keys[j - 1]), len(keys)]
+        return [(a, b, keys[a], *((stack, ws) if b - a == len(keys) else
+                                  (stack.head_range(a * L, b * L), ws.head_range(a * L, b * L))))
+                for a, b in zip(edges, edges[1:])]
 
-        def spans(keys: list[int]) -> list[tuple]:
-            edges = [0, *(j for j in range(1, len(keys)) if keys[j] != keys[j - 1]), len(keys)]
-            for a, b in zip(edges, edges[1:]):
-                if (a, b) not in cut:
-                    cut[a, b] = stack.head_range(a * L, b * L), ws.head_range(a * L, b * L)
-            return [(a, b, keys[a], *cut[a, b]) for a, b in zip(edges, edges[1:])]
+    # the runs in spans of one last-batch row count, and in spans of one fold
+    tails = spans([sizes[fold_of[i]] - last for i in pos])
+    folds = spans([fold_of[i] for i in pos])
 
-        return spans([sizes[fold_of[i]] - last for i in live]), spans([fold_of[i] for i in live])
-
-    tails, folds = layout()
-
-    def drop(failed: np.ndarray, epoch: int, outs: list[np.ndarray]) -> list[int]:
+    def finish(failed: np.ndarray, epoch: int, outs: list[np.ndarray]) -> bool:
         """Finish the flagged runs as diverged at ``epoch`` and at their first head whose output (``outs``,
-        in stack order) or gradient is not finite; compact the stack, its Adam moments and the workspace
-        gradient; returns the kept."""
-        nonlocal stack, state, ws, live, tails, folds
-        params = stack.params.reshape(len(live), -1)
+        in stack order) or gradient is not finite, and freeze them: with a zero gradient and first moment,
+        Adam's update of their heads is 0 at every later step.  Returns whether every run has finished."""
         finite = (np.concatenate([np.isfinite(out).all(axis=(1, 2)) for out in outs])
                   & np.isfinite(ws.grad.reshape(stack.heads, -1)).all(axis=1))
-        culprit = np.argmin(finite.reshape(len(live), L), axis=1)
+        culprit = np.argmin(finite.reshape(len(pos), L), axis=1)
         for j in np.flatnonzero(failed):
-            runs[live[j]] = logs[live[j]].finish(params[j].copy(), True, diverged_at=(epoch, int(culprit[j])))
-        keep = np.flatnonzero(~failed).tolist()
-        live = [live[j] for j in keep]
-        if keep:
-            stack = ModelStack(spec, tuple(stack.seeds[h] for h in heads_of(keep)), params[keep].ravel())
-            state = replace(state, exp_avg=state.exp_avg.reshape(len(failed), -1)[keep].ravel(),
-                            exp_avg_sq=state.exp_avg_sq.reshape(len(failed), -1)[keep].ravel())
-            grad = ws.grad.reshape(len(failed), -1)[keep]
-            ws = Workspace(spec, stack.heads)
-            ws.grad[...] = grad.ravel()
-            tails, folds = layout()
-        return keep
+            runs[pos[j]] = logs[pos[j]].finish(params[j].copy(), True, diverged_at=(epoch, int(culprit[j])))
+        done[failed] = True
+        grads[failed] = moments[failed] = 0.0
+        return done.all()
 
     def batch(model: ModelStack, work: Workspace, idx: np.ndarray, first: int):
         """Forward, loss and backward of the runs at stack positions first.. on
-        their rows ``idx``; returns the outputs, which runs' losses are
-        finite and, with LALR, each head's rate."""
-        here = live[first : first + len(idx)]
+        their rows ``idx``; returns the outputs, which runs are ok (their loss
+        is finite, or they have finished) and, with LALR, each head's rate."""
+        here = pos[first : first + len(idx)]
+        finished = done[first : first + len(idx)]
         xb, yb = X_rows[idx], y_rows[idx]
         if L > 1:  # a run's heads share its batch
             xb = xb[0] if len(here) == 1 else xb.repeat(L, axis=0)
@@ -616,10 +606,10 @@ def _train_adam(
         backward(model, trace, pred_grad, workspace=work)
         ok = np.isfinite(values)
         if not lalr:
-            return out, ok, None
+            return out, ok | finished, None
         # a run whose loss failed stops before its rate; one whose gradient fails, after
         rates, k_z = [1.0] * model.heads, trace.head_k_z.tolist()
-        for j in np.flatnonzero(np.repeat(ok, L)).tolist():
+        for j in np.flatnonzero(np.repeat(ok & ~finished, L)).tolist():
             i = here[j // L]
             ctx = LipschitzContext(m=idx.shape[1], y_norm=y_norms[fold_of[i]], k_z=k_z[j], g_at_zero=g0,
                                    tau=taus[j % L])
@@ -627,21 +617,22 @@ def _train_adam(
             rates[j] = lalr_lr(K, opt.lr_min, opt.lr_max)
             logs[i].k_trace.append(K)
             logs[i].lr_trace.append(rates[j])
-        return out, ok, rates
+        return out, ok | finished, rates
 
     for epoch in range(config.epochs):
         lr = _epoch_lr(config, epoch)
-        order = np.zeros((len(live), max(sizes)), dtype=np.intp)  # a smaller fold's run leaves its row's end unused
-        for row, i in zip(order, live):
+        order = np.zeros((len(pos), max(sizes)), dtype=np.intp)  # a smaller fold's run leaves its row's end unused
+        for row, i in zip(order, pos):
             n = sizes[fold_of[i]]
             row[:n] = batch_rngs[i].permutation(n) + first_row[fold_of[i]]
         for start in range(0, last + 1, bs):
-            groups = tails if start == last else [(0, len(live), bs, stack, ws)]
+            groups = tails if start == last else [(0, len(pos), bs, stack, ws)]
             outs, oks, part_rates = zip(*(batch(model, work, order[a:b, start : start + m], a)
                                           for a, b, m, model, work in groups))
             ok = np.concatenate(oks)
             if lalr:
                 lr = [r for part in part_rates for r in part]
+            grads[done] = 0.0
             if ok.all():
                 try:  # adam_step checks the gradient first and writes nothing when it is not finite
                     adam_step(state, stack.params, ws.grad, lr)
@@ -649,38 +640,31 @@ def _train_adam(
                 except ValueError:
                     if np.isfinite(ws.grad).all():
                         raise
-            ok &= np.isfinite(ws.grad.reshape(len(live), -1)).all(axis=1)
-            keep = drop(~ok, epoch, outs)
-            if not keep:
+            if finish(~(ok & np.isfinite(grads).all(axis=1)), epoch, outs):
                 return runs
-            order = order[keep]
-            if lalr:
-                lr = [lr[h] for h in heads_of(keep)]
             adam_step(state, stack.params, ws.grad, lr)
 
         if epoch_end is not None:
             epoch_end(stack)
         if X_val[0] is None:
             continue
-        heads = stack.params.reshape(len(live), -1)
         oks, outs = [], []
         for a, b, f, model, work in folds:
             tl, _ = _head_losses(config, predict(model, X_train[f], workspace=work), y_train[f])
             out_val = predict(model, X_val[f], workspace=work)
             vl, _ = _head_losses(config, out_val, y_val[f])
             ok = np.isfinite(tl) & np.isfinite(vl)
-            scored = np.flatnonzero(ok)
+            scored = np.flatnonzero(ok & ~done[a:b])
             for j, vm in zip(scored, _head_val_metrics(config, out_val[scored], y_val[f])):
-                logs[live[a + j]].record(float(tl[j]), float(vl[j]), vm, heads[a + j])
-            oks.append(ok)
+                logs[pos[a + j]].record(float(tl[j]), float(vl[j]), vm, params[a + j])
+            oks.append(ok | done[a:b])
             outs.append(out_val)
         ok = np.concatenate(oks)
-        if not ok.all() and not drop(~ok, epoch, outs):
+        if not ok.all() and finish(~ok, epoch, outs):
             return runs
 
-    heads = stack.params.reshape(len(live), -1)
-    for j, i in enumerate(live):
-        runs[i] = logs[i].finish(heads[j].copy(), diverged=False)
+    for j in np.flatnonzero(~done):
+        runs[pos[j]] = logs[pos[j]].finish(params[j].copy(), diverged=False)
     return runs
 
 
@@ -950,16 +934,25 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
     )
 
 
+def _check_threshold_metric(metric: str, task: str) -> None:
+    """Raise a ValueError unless a ``task`` run traces ``metric``: accuracy (classification's
+    validation metric), rmse (regression's), or the validation loss ("loss" or "val_loss")."""
+    traced = {"accuracy": "classification", "rmse": "regression", "loss": task, "val_loss": task}
+    if metric not in traced:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(traced)}")
+    if traced[metric] != task:
+        raise ValueError(f"metric {metric!r} is not traced by a {task} run")
+
+
 def epochs_to_threshold(report: RunReport, metric: str, threshold: float):
     """First epoch at which the mean validation-metric trace reaches the threshold.
 
     Higher-is-better metrics (accuracy) must meet or exceed it; lower-is-better
     ones (rmse, loss) must meet or fall below it.  Returns None when the trace
-    never reaches the threshold.
+    never reaches the threshold.  A metric the report's task does not trace
+    (accuracy of a regression, rmse of a classification) raises ValueError.
     """
-    known = {"accuracy": True, "rmse": False, "loss": False, "val_loss": False}
-    if metric not in known:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(known)}")
+    _check_threshold_metric(metric, report.config["task"])
     traces = [
         r.val_loss if metric in ("loss", "val_loss") else r.val_metric
         for r in report.records
@@ -970,7 +963,7 @@ def epochs_to_threshold(report: RunReport, metric: str, threshold: float):
         return None
     n_epochs = min(len(t) for t in traces)
     mean_trace = np.mean([t[:n_epochs] for t in traces], axis=0)
-    higher = known[metric]
+    higher = metric == "accuracy"
     for epoch, v in enumerate(mean_trace):
         if (higher and v >= threshold) or (not higher and v <= threshold):
             return epoch

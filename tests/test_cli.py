@@ -389,3 +389,42 @@ class TestEvalNamesTheFaultyArtifact:
         assert self._eval(ckpt, csv) == 1
         err = capsys.readouterr().err
         assert f"dataset {csv} has 8 features, but checkpoint {ckpt} takes 4 inputs" in err
+
+
+class TestThresholdFlags:
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained before checking the threshold flags")
+
+        monkeypatch.setattr("quantloss.cli.train", refuse)
+
+    @pytest.mark.parametrize("flags, missing", [
+        (["--threshold", "0.5"], "--threshold-metric"),
+        (["--threshold-metric", "accuracy"], "--threshold"),
+    ])
+    def test_one_flag_without_the_other_exits_1_naming_the_missing_one(self, cls_setup, capsys, flags, missing):
+        tp, cpath, _ = cls_setup
+        out = tp / "run"
+        assert main(["train", "--config", str(cpath), "--out", str(out), *flags]) == 1
+        assert f"{missing} is missing" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, metric", [("regression", "accuracy"), ("classification", "rmse")])
+    def test_a_metric_the_task_does_not_trace_exits_1_naming_both(self, tmp_path, capsys, task, metric):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps({"task": task}))
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cpath), "--out", str(out),
+                   "--threshold", "0.5", "--threshold-metric", metric])
+        assert rc == 1
+        assert f"metric '{metric}' is not traced by a {task} run" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_prints_epochs_to_threshold_with_both_flags(cls_setup, capsys):
+    tp, cpath, _ = cls_setup
+    rc = main(["train", "--config", str(cpath), "--out", str(tp / "run"),
+               "--threshold", "0.01", "--threshold-metric", "accuracy"])
+    assert rc == 0
+    assert "epochs_to_threshold[accuracy @ 0.01]: 0" in capsys.readouterr().out

@@ -370,3 +370,25 @@ def test_the_verify_check_covers_a_stack_across_two_folds(monkeypatch):
     monkeypatch.setattr(trainer, "adam_step", counting)
     assert verify.check_stacked_repeats().passed
     assert 3 in heads
+
+
+class TestFrozenRuns:
+    def test_a_finished_run_stays_at_its_final_params_while_the_stack_trains_on(self, monkeypatch):
+        """Seed 3's run diverges mid-training (in epoch 4 of 6); seeds 0 and 1 never do."""
+        monkeypatch.setattr(trainer, "batch_loss", TestDivergenceAcrossFolds._failing_loss(10.0, 8.0))
+        config = TestDivergenceAcrossFolds.CONFIG
+        ((X, y, X_val, y_val),) = _folds("regression", (60,), label_scales=(1.6,))
+        spec = trainer._layer_spec(config, X.shape[1], 1)
+        seen = []
+        runs = trainer._train_adam(config, spec, X, y[:, None], X_val, y_val[:, None], [0, 3, 1],
+                                   epoch_end=lambda stack: seen.append(stack.params.reshape(3, -1).copy()))
+        assert [run.diverged for run in runs] == [False, True, False]
+        epoch = runs[1].diverged_at[0]
+        assert 0 < epoch < config.epochs - 1 and len(seen) == config.epochs
+        for params in seen[epoch + 1 :]:
+            np.testing.assert_array_equal(params[1], runs[1].final_params)
+        for j in (0, 2):  # the others go on training
+            assert not np.array_equal(seen[epoch][j], seen[-1][j])
+            np.testing.assert_array_equal(seen[-1][j], runs[j].final_params)
+        for seed, run in zip([0, 3, 1], runs):
+            assert _fields_that_differ(run, train_single(config, X, y, X_val, y_val, seed)) == []

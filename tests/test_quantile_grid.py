@@ -156,3 +156,28 @@ def test_grid_runs_of_one_stack_equal_their_solo_runs():
         assert not run.diverged and run.best_epoch == 0 and run.val_metric == []
         np.testing.assert_array_equal(run.final_params, solo.final_params)
         assert run.lr_trace == solo.lr_trace and len(run.lr_trace) == 3 * 4 * len(GRID)
+
+
+def test_a_diverging_run_of_a_grid_stack_leaves_the_other_its_solo_grid(monkeypatch):
+    """Seed 2's latents pass 12 in epoch 2, where the patched slope is +inf;
+    seed 1's stay below it.  The stacked runs equal their grids trained alone."""
+    original = trainer.sbqc_batch_loss
+
+    def steep_above_12(y, z, tau):
+        value, grad = original(y, z, tau)
+        return value, np.where(np.abs(z) > 12.0, np.inf, grad)
+
+    monkeypatch.setattr(trainer, "sbqc_batch_loss", steep_above_12)
+    X, y = _toy(120, seed=8)
+    config = TrainConfig(task="classification", hidden_sizes=(6,), dropout=0.1,
+                         optimizer=OptimizerSpec(kind="lalr-adam"), epochs=6, batch_size=32)
+    spec = trainer._layer_spec(config, X.shape[1], 1)
+    stacked = trainer._train_adam(config, spec, X, y, None, None, [2, 1], GRID, 1.0)
+    solo = [trainer._train_adam(config, spec, X, y, None, None, [seed], GRID, 1.0)[0] for seed in (2, 1)]
+    assert [run.diverged for run in stacked] == [True, False]
+    assert stacked[0].diverged_at[0] == 2
+    for run, alone in zip(stacked, solo):
+        assert run.diverged_at == alone.diverged_at
+        np.testing.assert_array_equal(run.final_params, alone.final_params)
+        assert run.lr_trace == alone.lr_trace and run.k_trace == alone.k_trace
+    assert len(stacked[1].lr_trace) == 6 * 4 * len(GRID)

@@ -15,6 +15,7 @@ from quantloss.optim import lalr_lr
 from quantloss.synthetic import pima_like
 from quantloss.trainer import (
     OptimizerSpec,
+    RunReport,
     TrainConfig,
     _pool_size,
     _usable_cpus,
@@ -404,3 +405,34 @@ def test_a_plan_without_validation_rows_is_refused_naming_val_fraction():
     assert plan.val_idx.size == 0
     with pytest.raises(ValueError, match=r"train\.val_fraction"):
         train(_small_cls_config(epochs=1, repeats=1), plan, ds)
+
+
+class TestOptimizerSpecBounds:
+    @pytest.mark.parametrize("name, value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", 1.0), ("beta2", float("nan")),
+        ("m_hist", 0), ("max_line_search", 0),
+    ])
+    def test_a_value_out_of_range_is_refused_naming_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            OptimizerSpec(**{name: value})
+
+    def test_the_range_edges_are_accepted(self):
+        spec = OptimizerSpec(beta1=0.0, beta2=0.0, m_hist=1, max_line_search=1)
+        assert (spec.beta1, spec.beta2, spec.m_hist, spec.max_line_search) == (0.0, 0.0, 1, 1)
+
+
+class TestThresholdMetricOfTheTask:
+    @pytest.mark.parametrize("task, metric", [("regression", "accuracy"), ("classification", "rmse")])
+    def test_a_metric_the_task_does_not_trace_is_refused(self, task, metric):
+        report = RunReport(config={"task": task}, records=[], aggregates={})
+        with pytest.raises(ValueError, match=f"metric '{metric}' is not traced by a {task} run"):
+            epochs_to_threshold(report, metric, 0.5)
+
+    def test_a_regression_reads_rmse_and_the_validation_loss(self):
+        ds = _toy_regression()
+        plan = stratified_kfold(ds, k=2, val_fraction=0.2, seed=0)
+        cfg = TrainConfig(task="regression", hidden_sizes=(8,), loss=LossSpec(LossKind.LOG_COSH),
+                          optimizer=OptimizerSpec(kind="adam", lr=0.05), epochs=3, batch_size=32, repeats=1)
+        report = train(cfg, plan, ds)
+        assert epochs_to_threshold(report, "rmse", 1e9) == 0
+        assert epochs_to_threshold(report, "loss", 1e9) == epochs_to_threshold(report, "val_loss", 1e9) == 0
