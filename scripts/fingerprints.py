@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Print one sha256 per case of quantloss's fixed-seed outputs, to check that a
+change leaves them bit-identical.
+
+Usage:
+    PYTHONPATH=src python scripts/fingerprints.py [--full] > fingerprints.txt
+
+Run it on two checkouts and diff the outputs.  The cases are:
+
+- ``plan``: ``stratified_kfold`` of the synthetic banknote, pima and wine
+  sets for seeds 0, 1 and 7, k = 2, 3 and 5 and val_fraction 0, 0.2 and
+  0.33, and its error message on each set's first 4 rows at k = 5;
+- ``train``: ``RunReport.to_dict()``, every record's ``best_params`` and the
+  exported model and standardizer of each train preset in ``configs/``, at
+  seeds 0 and 1 and ``QUANTLOSS_THREADS`` 1 and 2.  Presets are cut to 6
+  epochs and 2 repeats unless ``--full`` is given;
+- ``grid``: the pima preset's tau grid trained on the fold plan's pool, its
+  latents on the validation rows and its quantile curve, at seeds 0 and 1.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from quantloss import classify, cli, data, synthetic, trainer  # noqa: E402
+
+GRID_PRESET = "pima_quantiles.json"
+
+
+def digest(*parts) -> str:
+    """sha256 over the parts: arrays by their bytes, anything else as sorted JSON."""
+    h = hashlib.sha256()
+    for part in parts:
+        if hasattr(part, "tobytes"):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(part.tobytes())
+        else:
+            h.update(json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def plan_cases():
+    for name in ("banknote", "pima", "wine"):
+        ds = synthetic.GENERATORS[name]()
+        for seed in (0, 1, 7):
+            for k in (2, 3, 5):
+                for val_fraction in (0.0, 0.2, 0.33):
+                    plan = data.stratified_kfold(ds, k, val_fraction, seed)
+                    parts = [a for fold in plan.folds for a in fold]
+                    yield f"plan {name} seed={seed} k={k} val={val_fraction}", digest(plan.val_idx, *parts)
+        try:
+            data.stratified_kfold(data.subset(ds, list(range(4))), 5)
+        except ValueError as e:
+            yield f"plan {name} first-4-rows k=5 error", digest(str(e))
+
+
+def train_cases(full: bool):
+    presets = sorted(p.name for p in (ROOT / "configs").glob("*.json") if p.name != GRID_PRESET)
+    for preset in presets:
+        for seed in (0, 1):
+            for threads in ("1", "2"):
+                doc = cli.load_config(str(ROOT / "configs" / preset))
+                train_cfg = doc["train"]
+                train_cfg["seed"] = seed
+                if not full:
+                    train_cfg.update(epochs=6, repeats=2)
+                ds = cli._resolve_dataset(doc, None)
+                plan = data.stratified_kfold(ds, int(train_cfg.get("folds", 5)),
+                                             float(train_cfg.get("val_fraction", 0.2)), seed)
+                os.environ["QUANTLOSS_THREADS"] = threads
+                report = trainer.train(trainer.TrainConfig.from_dict(doc), plan, ds)
+                parts = [report.to_dict()] + [r.best_params for r in report.records if r.best_params is not None]
+                if report.best_model is not None:
+                    parts += [report.best_model.spec.to_dict(), report.best_model.params]
+                if report.best_standardizer is not None:
+                    parts += [report.best_standardizer.mean, report.best_standardizer.scale]
+                yield f"train {preset} seed={seed} threads={threads}", digest(*parts)
+
+
+def grid_cases():
+    for seed in (0, 1):
+        doc = cli.load_config(str(ROOT / "configs" / GRID_PRESET))
+        sbqc, model_cfg, train_cfg = doc["sbqc"], doc["model"], doc["train"]
+        ds = cli._resolve_dataset(doc, None)
+        plan = data.stratified_kfold(ds, int(train_cfg["folds"]), 0.2, seed)
+        pool_idx = sorted(int(i) for _, test in plan.folds for i in test)
+        pool, stats = data.standardize_fit(data.subset(ds, pool_idx))
+        held = data.standardize_apply(stats, data.subset(ds, plan.val_idx))
+        mq = classify.multi_quantile_train(
+            pool.X, pool.y, sbqc["tau_grid"], hidden_sizes=tuple(model_cfg["hidden_sizes"]),
+            activation=model_cfg["activation"], reg_weight=sbqc["reg_weight"], epochs=train_cfg["epochs"],
+            batch_size=train_cfg["batch_size"], lr=doc["optimizer"]["lr"], seed=seed,
+        )
+        col = pool.X[:, 1].tolist()
+        lo, hi = min(col), max(col)
+        sweep = [lo + (hi - lo) * i / 40 for i in range(41)]
+        background = [statistics.median(c) for c in pool.X.T.tolist()]
+        curve = classify.quantile_curve(mq, 1, sweep, background)
+        yield f"grid {GRID_PRESET} seed={seed}", digest(mq.latents(held.X), curve.tau_star, curve.status)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--full", action="store_true", help="train the presets at their own size")
+    args = parser.parse_args(argv)
+    for cases in (plan_cases(), train_cases(args.full), grid_cases()):
+        for name, value in cases:
+            print(f"{value}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -228,31 +228,19 @@ def quantile_curve(
     if bad.any():
         raise ValueError(f"latents are not finite at tau = {', '.join(f'{t:g}' for t in taus[bad])}")
 
+    # a row's root is at the first level whose latent is 0, or whose latent and the
+    # next level's straddle 0; a 0 at the last level is a straddle's upper end
+    a, b = q[:, :-1], q[:, 1:]
+    hit = (a == 0.0) | ((a < 0) & (b >= 0)) | ((a > 0) & (b <= 0))
+    found = hit.any(axis=1)
+    rows = np.nonzero(found)[0]
+    p = hit[rows].argmax(axis=1)
+    a, b, lo, hi = q[rows, p], q[rows, p + 1], taus[p], taus[p + 1]
     tau_star = np.full(sweep.size, np.nan)
-    status: list[str] = []
-    for i in range(sweep.size):
-        row = q[i]
-        if np.all(row > 0):
-            status.append("below_grid")
-            continue
-        if np.all(row < 0):
-            status.append("above_grid")
-            continue
-        found = False
-        for p in range(len(taus) - 1):
-            a, b = row[p], row[p + 1]
-            if a == 0.0:
-                tau_star[i] = taus[p]
-                found = True
-                break
-            if (a < 0 <= b) or (a > 0 >= b):
-                tau_star[i] = taus[p] + (0.0 - a) * (taus[p + 1] - taus[p]) / (b - a)
-                found = True
-                break
-        if not found and row[-1] == 0.0:
-            tau_star[i] = taus[-1]
-            found = True
-        status.append("ok" if found else ("below_grid" if row[0] > 0 else "above_grid"))
+    tau_star[rows] = lo
+    s = a != 0.0  # interpolate the straddles only: a level whose latent is 0 is its own root
+    tau_star[rows[s]] = lo[s] + (0.0 - a[s]) * (hi[s] - lo[s]) / (b[s] - a[s])
+    status = np.where(found, "ok", np.where(q[:, 0] > 0, "below_grid", "above_grid")).tolist()
     return QuantileCurve(feature_index, tuple(float(t) for t in taus), sweep, tau_star, status)
 
 

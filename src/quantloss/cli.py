@@ -50,17 +50,13 @@ def load_config(path: str) -> dict:
 
 def _resolve_dataset(doc: dict, dataset_override: str | None):
     ds_cfg = doc.get("dataset", {})
-    if dataset_override:
-        return load_csv(dataset_override, ds_cfg.get("target", "target"),
-                        delimiter=ds_cfg.get("delimiter", ","),
-                        header=ds_cfg.get("header", True))
-    if "synthetic" in ds_cfg:
+    if "synthetic" in ds_cfg and not dataset_override:
         return synthetic.GENERATORS[ds_cfg["synthetic"]]()
-    if "path" in ds_cfg:
-        return load_csv(ds_cfg["path"], ds_cfg["target"],
-                        delimiter=ds_cfg.get("delimiter", ","),
-                        header=ds_cfg.get("header", True))
-    raise CliError("config has no dataset section (and no --dataset override given)")
+    path = dataset_override or ds_cfg.get("path")
+    if path is None:
+        raise CliError("config has no dataset section (and no --dataset override given)")
+    return load_csv(path, ds_cfg.get("target", "target"),
+                    delimiter=ds_cfg.get("delimiter", ","), header=ds_cfg.get("header", True))
 
 
 def cmd_train(args) -> int:
@@ -105,10 +101,14 @@ def cmd_train(args) -> int:
         mean_s = "n/a" if mean is None else f"{mean:.4f}"
         std_s = "n/a" if std_v is None else f"{std_v:.4f}"
         print(f"{name}: mean {mean_s} std {std_s} (n={agg.get('n')})")
+    all_diverged = all(r.diverged for r in report.records)
+    if all_diverged:
+        print(f"warning: all {len(report.records)} runs diverged (see {out / 'report.json'}): "
+              "there are no aggregates and no checkpoint", file=sys.stderr)
     if args.threshold_metric is not None:
         e = epochs_to_threshold(report, args.threshold_metric, args.threshold)
-        print(f"epochs_to_threshold[{args.threshold_metric} @ {args.threshold}]: "
-              f"{'never' if e is None else e}")
+        shown = "n/a (all runs diverged)" if all_diverged else "never" if e is None else e
+        print(f"epochs_to_threshold[{args.threshold_metric} @ {args.threshold}]: {shown}")
     print(f"artifacts written to {out}")
     return 0
 

@@ -50,16 +50,10 @@ def load_csv(
     with f:
         reader = csv.reader(f, delimiter=delimiter)
         rows = [row for row in reader if row]
-    if header:
-        if not rows:
-            raise ValueError(f"{path}: empty file")
-        names = [c.strip() for c in rows[0]]
-        data_rows = rows[1:]
-    else:
-        if not rows:
-            raise ValueError(f"{path}: empty file")
-        names = [f"f{i}" for i in range(len(rows[0]))]
-        data_rows = rows
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    names = [c.strip() for c in rows[0]] if header else [f"f{i}" for i in range(len(rows[0]))]
+    data_rows = rows[1:] if header else rows
     if not data_rows:
         raise ValueError(f"{path}: empty dataset (no data rows)")
 
@@ -143,50 +137,36 @@ class FoldPlan:
 def stratified_kfold(ds: Dataset, k: int, val_fraction: float = 0.2, seed: int = 0) -> FoldPlan:
     """Carve out validation first, then split the pool into k folds.
 
-    Classification folds are stratified per class (round-robin after a seeded
-    shuffle); regression uses plain shuffled folds.  Classes with fewer pool
-    members than k raise an error naming the class.
+    Each stratum (one per class for classification, every row for
+    regression) is shuffled by one seeded generator, in class order, gives
+    its first ``val_fraction`` to validation and is dealt round-robin over
+    the folds.  A class with fewer pool members than k raises an error
+    naming the class; a regression pool that small, one naming its size.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
-    rng = np.random.default_rng(seed)
-    n = ds.n
-    fold_members: list[list[int]] = [[] for _ in range(k)]
     if ds.task == "classification":
-        val_parts = []
-        classes = sorted(set(ds.y.tolist()))
-        for c in classes:
-            idx = np.nonzero(ds.y == c)[0]
-            idx = rng.permutation(idx)
-            n_val = int(round(val_fraction * idx.size))
-            val_parts.append(idx[:n_val])
-            pool_c = idx[n_val:]
-            if pool_c.size < k:
-                raise ValueError(
-                    f"class {c:g} has only {pool_c.size} pool members, fewer than k={k}"
-                )
-            for j, i in enumerate(pool_c):
-                fold_members[j % k].append(int(i))
-        val_idx = np.sort(np.concatenate(val_parts)) if val_parts else np.empty(0, int)
+        strata = [(np.nonzero(ds.y == c)[0], f"class {c:g} has only {{}} pool members, fewer than k={k}")
+                  for c in sorted(set(ds.y.tolist()))]
     else:
-        idx = rng.permutation(n)
-        n_val = int(round(val_fraction * n))
-        val_idx = np.sort(idx[:n_val])
+        strata = [(np.arange(ds.n), f"pool of {{}} examples cannot form k={k} folds")]
+    rng = np.random.default_rng(seed)
+    val_parts, fold_parts = [np.empty(0, int)], [[np.empty(0, int)] for _ in range(k)]
+    for idx, too_few in strata:
+        idx = rng.permutation(idx)
+        n_val = int(round(val_fraction * idx.size))
+        val_parts.append(idx[:n_val])
         pool = idx[n_val:]
         if pool.size < k:
-            raise ValueError(f"pool of {pool.size} examples cannot form k={k} folds")
-        for j, i in enumerate(pool):
-            fold_members[j % k].append(int(i))
-
-    pool_all = np.sort(np.concatenate([np.asarray(f, int) for f in fold_members]))
-    folds = []
-    for j in range(k):
-        test = np.sort(np.asarray(fold_members[j], dtype=int))
-        train = np.setdiff1d(pool_all, test)
-        folds.append((train, test))
-    return FoldPlan(folds=folds, val_idx=np.asarray(val_idx, dtype=int), seed=seed)
+            raise ValueError(too_few.format(pool.size))
+        for j, parts in enumerate(fold_parts):  # deal the pool round-robin
+            parts.append(pool[j::k])
+    tests = [np.sort(np.concatenate(parts)) for parts in fold_parts]
+    pool_all = np.concatenate(tests)
+    return FoldPlan([(np.setdiff1d(pool_all, test), test) for test in tests],
+                    np.sort(np.concatenate(val_parts)), seed)
 
 
 def subset(ds: Dataset, idx: np.ndarray) -> Dataset:

@@ -207,11 +207,10 @@ class ForwardTrace:
     activations: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
 
-    @functools.cached_property
+    @property
     def k_z(self) -> float:
-        """Largest |activation| entering the final layer, computed on first access."""
-        a = self.activations[-2]
-        return float(np.max(np.abs(a))) if a.size else 0.0
+        """Largest |activation| entering the final layer: the largest ``head_k_z``."""
+        return float(np.max(self.head_k_z))
 
     @functools.cached_property
     def head_k_z(self) -> np.ndarray:
@@ -421,9 +420,12 @@ def predict(
     """
     x = _checked_batch(model, batch)
     spec, m = model.spec, x.shape[-2]
-    ws = workspace or Workspace(spec, model.heads)
-    ws._check(model)
-    out = np.empty(ws._lead + (m, spec.output_dim))
+    if workspace is None:
+        hidden = [np.empty((m, h)) for h in spec.hidden_sizes]
+    else:
+        workspace._check(model)
+        (hidden,) = workspace._predict.get(m)
+    out = np.empty(((m,) if model.heads is None else (model.heads, m)) + (spec.output_dim,))
     if model.heads is None:
         runs = [(x, model.weights, model.biases, out)]
     else:
@@ -431,7 +433,6 @@ def predict(
             (x[j] if x.ndim == 3 else x, [w[j] for w in model.weights], [b[j] for b in model.biases], out[j])
             for j in range(model.heads)
         ]
-    (hidden,) = ws._predict.get(m)
     for a, weights, biases, head_out in runs:
         for w, b, z in zip(weights[:-1], biases[:-1], hidden):
             a = _activate(spec.activation, _dense(a, w, b, z), z)

@@ -46,6 +46,7 @@ from .optim import (
 
 LR_POLICIES = ("constant", "exponential", "lalr")
 OPTIMIZER_KINDS = ("adam", "lalr-adam", "lbfgs")
+_LALR_ADAM_POLICY_ERROR = "optimizer.kind 'lalr-adam' sets its own rate: train.lr_policy must be 'lalr', got {!r}"
 
 #: decay rate of the exponential comparator schedule lr(epoch) = lr0 e^(-RATE epoch)
 EXP_DECAY_RATE = 1e-4
@@ -122,6 +123,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if self.task not in ("regression", "classification"):
             raise ValueError(f"task must be regression or classification, got {self.task!r}")
         if self.epochs < 1:
@@ -138,37 +140,32 @@ class TrainConfig:
             raise ValueError(f"sbqc tau must be inside (0, 1), got {self.sbqc_tau}")
         if self.optimizer.kind == "lbfgs" and self.lr_policy == "lalr":
             raise ValueError("lbfgs owns its step size; lalr policy does not apply")
-        if self.optimizer.kind == "lalr-adam" and self.lr_policy != "lalr":
+        if self.optimizer.kind == "lalr-adam":
+            if self.lr_policy not in ("constant", "lalr"):  # "constant" is the unset default
+                raise ValueError(_LALR_ADAM_POLICY_ERROR.format(self.lr_policy))
             object.__setattr__(self, "lr_policy", "lalr")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Build a config from the JSON document layout used by the CLI."""
-        task = doc["task"]
-        model = doc.get("model", {})
-        train = doc.get("train", {})
-        opt = OptimizerSpec.from_dict(doc.get("optimizer", {}))
-        loss = None
+        """Build a config from the CLI's JSON document layout.  A field the document omits takes
+        the dataclass default, but a regression document trains 500 epochs of 256-row batches."""
+        model, train, sbqc = (doc.get(name, {}) for name in ("model", "train", "sbqc"))
+        fields = {name: model[name] for name in ("hidden_sizes", "activation", "dropout") if name in model}
+        if doc["task"] == "regression":
+            fields.update(epochs=500, batch_size=256)
+        # int(): a JSON document may write an integer such as 50 as 50.0
+        fields.update({name: int(train[name]) for name in ("epochs", "batch_size", "repeats", "seed")
+                       if name in train})
+        if "lr_policy" in train:
+            fields["lr_policy"] = train["lr_policy"]
+        if "tau" in sbqc:
+            fields["sbqc_tau"] = sbqc["tau"]
         if "loss" in doc:
-            loss = LossSpec.from_dict(doc["loss"])
-        sbqc = doc.get("sbqc", {})
-        defaults_epochs = 50 if task == "classification" else 500
-        defaults_batch = 64 if task == "classification" else 256
-        policy = train.get("lr_policy", "lalr" if opt.kind == "lalr-adam" else "constant")
-        return cls(
-            task=task,
-            hidden_sizes=tuple(model.get("hidden_sizes", [100])),
-            activation=model.get("activation", "relu"),
-            dropout=model.get("dropout", 0.0),
-            loss=loss,
-            sbqc_tau=float(sbqc.get("tau", 0.5)),
-            optimizer=opt,
-            lr_policy=policy,
-            epochs=int(train.get("epochs", defaults_epochs)),
-            batch_size=int(train.get("batch_size", defaults_batch)),
-            repeats=int(train.get("repeats", 20)),
-            seed=int(train.get("seed", 0)),
-        )
+            fields["loss"] = LossSpec.from_dict(doc["loss"])
+        optimizer = OptimizerSpec.from_dict(doc.get("optimizer", {}))
+        if optimizer.kind == "lalr-adam" and fields.get("lr_policy", "lalr") != "lalr":
+            raise ValueError(_LALR_ADAM_POLICY_ERROR.format(fields["lr_policy"]))
+        return cls(task=doc["task"], optimizer=optimizer, **fields)
 
     def to_dict(self) -> dict:
         d: dict[str, Any] = {
@@ -741,28 +738,20 @@ def _metrics_for(config: TrainConfig, model_params, spec, X, y) -> dict[str, flo
     return _score(config.task, config.sbqc_tau, predict(model, X), y)
 
 
-#: (config, fold_plan, dataset, validation slice) of the train() call this
-#: pool worker serves; set once per worker process by ``_init_worker``
-_WORKER_INPUTS: tuple | None = None
-
-
 def _job_inputs(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> tuple:
+    """(config, fold_plan, dataset, validation slice): what ``_run_bin`` needs of a ``train()`` call."""
     return config, fold_plan, dataset, subset(dataset, fold_plan.val_idx)
 
 
-def _init_worker(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> None:
-    global _WORKER_INPUTS
-    _WORKER_INPUTS = _job_inputs(config, fold_plan, dataset)
+def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple) -> list[RunRecord]:
+    """Train and score one bin of (fold, repeats) pieces, in order, from ``_job_inputs``.
 
-
-def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple | None = None) -> list[RunRecord]:
-    """Train and score one bin of (fold, repeats) pieces, in order; a pool worker uses its own inputs.
-
-    Each piece's fold is standardized once, and the bin's runs are trained by
-    one ``train_single`` call, which for Adam is one stack for each number
-    of batches per epoch among its folds (one stack on every preset).
+    The sequential path and every pool worker make this same call.  Each
+    piece's fold is standardized once, and the bin's runs are trained by one
+    ``train_single`` call, which for Adam is one stack for each number of
+    batches per epoch among its folds (one stack on every preset).
     """
-    config, fold_plan, dataset, val_ds = inputs or _WORKER_INPUTS
+    config, fold_plan, dataset, val_ds = inputs
     trains, tests, vals, standardizers = [], [], [], []
     for fold, _ in pieces:
         train_idx, test_idx = fold_plan.folds[fold]
@@ -795,7 +784,7 @@ def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple | None = N
     return records
 
 
-def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple | None = None) -> list[RunRecord]:
+def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple) -> list[RunRecord]:
     """``_run_bin`` of one piece, a fold's contiguous repeats."""
     return _run_bin([job], inputs)
 
@@ -823,15 +812,15 @@ def _jobs(config: TrainConfig, n_folds: int) -> list[list[tuple[int, tuple[int, 
 
 
 def _run_jobs_in_processes(
+    run: Callable[[list[tuple[int, tuple[int, ...]]]], list[RunRecord]],
     bins: list[list[tuple[int, tuple[int, ...]]]], n_workers: int,
-    config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset,
 ) -> list[RunRecord]:
-    """Map ``_run_bin`` over ``n_workers`` processes, each with one BLAS thread.
+    """Map ``run``, a ``_run_bin`` partial, over ``n_workers`` processes, each with one BLAS thread.
 
     Workers fork from a forkserver that has already imported this module
-    (spawn where forkserver is unavailable) and receive the inputs once,
-    through the pool initializer.  The first call in a process starts the
-    forkserver; it reads the pinned BLAS setting and keeps it for later pools.
+    (spawn where forkserver is unavailable); each task ships ``run``, the
+    call's inputs with it, and one bin.  The first call in a process starts
+    the forkserver; it reads the pinned BLAS setting and keeps it for later pools.
     Python 3.11's forkserver ignores the caller's ``sys.path``, so where the
     package does not sit in a site-packages directory (where any interpreter
     finds it), its parent directory is put on ``PYTHONPATH`` too, for the
@@ -856,11 +845,8 @@ def _run_jobs_in_processes(
     caller = {name: os.environ.get(name) for name in pinned}
     os.environ.update(pinned)
     try:
-        with ProcessPoolExecutor(
-            n_workers, mp_context=ctx,
-            initializer=_init_worker, initargs=(config, fold_plan, dataset),
-        ) as pool:
-            return [rec for recs in pool.map(_run_bin, bins) for rec in recs]
+        with ProcessPoolExecutor(n_workers, mp_context=ctx) as pool:
+            return [rec for recs in pool.map(run, bins) for rec in recs]
     finally:
         for name, value in caller.items():
             if value is None:
@@ -889,11 +875,11 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
         raise ValueError("the fold plan has no validation rows: train.val_fraction must leave at least one")
     bins = _jobs(config, len(fold_plan.folds))
     n_workers = _pool_size(len(bins))
+    run = partial(_run_bin, inputs=_job_inputs(config, fold_plan, dataset))
     if n_workers > 1:
-        records = _run_jobs_in_processes(bins, n_workers, config, fold_plan, dataset)
+        records = _run_jobs_in_processes(run, bins, n_workers)
     else:
-        inputs = _job_inputs(config, fold_plan, dataset)
-        records = [rec for pieces in bins for rec in _run_bin(pieces, inputs)]
+        records = [rec for pieces in bins for rec in run(pieces)]
 
     def aggregate(vals: list[float]) -> dict[str, float | None]:
         return {
