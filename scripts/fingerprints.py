@@ -14,6 +14,10 @@ Run it on two checkouts and diff the outputs.  The cases are:
   exported model and standardizer of each train preset in ``configs/``, at
   seeds 0 and 1 and ``QUANTLOSS_THREADS`` 1 and 2.  Presets are cut to 6
   epochs and 2 repeats unless ``--full`` is given;
+- ``train`` of the paths no preset reaches, hashed as above at seeds 0 and
+  1 with one worker, always cut to 6 epochs and 2 repeats: the wine preset
+  under ``lalr-adam`` with each regression loss kind (log-cosh at h = 1 and
+  0.7), and the banknote preset under L-BFGS;
 - ``grid``: the pima preset's tau grid trained on the fold plan's pool, its
   latents on the validation rows and its quantile curve, at seeds 0 and 1.
 """
@@ -32,6 +36,16 @@ sys.path.insert(0, str(ROOT / "src"))
 from quantloss import classify, cli, data, synthetic, trainer  # noqa: E402
 
 GRID_PRESET = "pima_quantiles.json"
+
+#: (case name, preset, the sections that replace the preset's) for the paths no preset reaches
+UNREACHED = [
+    *(("wine lalr-adam " + "-".join(map(str, loss.values())), "wine_logcosh_adam_lr001.json",
+       {"loss": loss, "optimizer": {"kind": "lalr-adam"}})
+      for loss in ({"kind": "logcosh"}, {"kind": "logcosh", "h": 0.7}, {"kind": "tilted-logcosh", "tau": 0.25},
+                   {"kind": "check", "tau": 0.9}, {"kind": "huber", "delta": 0.5}, {"kind": "mse"},
+                   {"kind": "mae"})),
+    ("banknote lbfgs", "banknote_sbqc_lalr.json", {"optimizer": {"kind": "lbfgs"}}),
+]
 
 
 def digest(*parts) -> str:
@@ -61,27 +75,39 @@ def plan_cases():
             yield f"plan {name} first-4-rows k=5 error", digest(str(e))
 
 
+def train_digest(doc: dict, seed: int, threads: str, cut: bool) -> str:
+    """digest of ``train()`` on a config document at ``seed`` with ``QUANTLOSS_THREADS`` = threads."""
+    train_cfg = doc["train"]
+    train_cfg["seed"] = seed
+    if cut:
+        train_cfg.update(epochs=6, repeats=2)
+    ds = cli._resolve_dataset(doc, None)
+    plan = data.stratified_kfold(ds, int(train_cfg.get("folds", 5)),
+                                 float(train_cfg.get("val_fraction", 0.2)), seed)
+    os.environ["QUANTLOSS_THREADS"] = threads
+    report = trainer.train(trainer.TrainConfig.from_dict(doc), plan, ds)
+    parts = [report.to_dict()] + [r.best_params for r in report.records if r.best_params is not None]
+    if report.best_model is not None:
+        parts += [report.best_model.spec.to_dict(), report.best_model.params]
+    if report.best_standardizer is not None:
+        parts += [report.best_standardizer.mean, report.best_standardizer.scale]
+    return digest(*parts)
+
+
 def train_cases(full: bool):
     presets = sorted(p.name for p in (ROOT / "configs").glob("*.json") if p.name != GRID_PRESET)
     for preset in presets:
         for seed in (0, 1):
             for threads in ("1", "2"):
                 doc = cli.load_config(str(ROOT / "configs" / preset))
-                train_cfg = doc["train"]
-                train_cfg["seed"] = seed
-                if not full:
-                    train_cfg.update(epochs=6, repeats=2)
-                ds = cli._resolve_dataset(doc, None)
-                plan = data.stratified_kfold(ds, int(train_cfg.get("folds", 5)),
-                                             float(train_cfg.get("val_fraction", 0.2)), seed)
-                os.environ["QUANTLOSS_THREADS"] = threads
-                report = trainer.train(trainer.TrainConfig.from_dict(doc), plan, ds)
-                parts = [report.to_dict()] + [r.best_params for r in report.records if r.best_params is not None]
-                if report.best_model is not None:
-                    parts += [report.best_model.spec.to_dict(), report.best_model.params]
-                if report.best_standardizer is not None:
-                    parts += [report.best_standardizer.mean, report.best_standardizer.scale]
-                yield f"train {preset} seed={seed} threads={threads}", digest(*parts)
+                yield f"train {preset} seed={seed} threads={threads}", train_digest(doc, seed, threads, not full)
+
+
+def unreached_cases():
+    for name, preset, sections in UNREACHED:
+        for seed in (0, 1):
+            doc = {**cli.load_config(str(ROOT / "configs" / preset)), **sections}
+            yield f"train {name} seed={seed}", train_digest(doc, seed, "1", cut=True)
 
 
 def grid_cases():
@@ -110,7 +136,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true", help="train the presets at their own size")
     args = parser.parse_args(argv)
-    for cases in (plan_cases(), train_cases(args.full), grid_cases()):
+    for cases in (plan_cases(), train_cases(args.full), unreached_cases(), grid_cases()):
         for name, value in cases:
             print(f"{value}  {name}", flush=True)
     return 0

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .losses import LossKind, LossSpec, slope_bound
+
 #: smallest layer constant we report; keeps 1/K finite for degenerate batches
 K_FLOOR = 1e-12
 
@@ -52,13 +54,13 @@ class LipschitzContext:
                 raise ValueError(f"{name} must be finite")
 
 
-def regression_lipschitz_constant(ctx: LipschitzContext) -> float:
-    """Final-layer gradient constant for log-cosh regression.
+def regression_lipschitz_constant(ctx: LipschitzContext, loss: LossSpec = LossSpec(LossKind.LOG_COSH)) -> float:
+    """Final-layer gradient constant for regression, by default under log-cosh with h = 1.
 
-    K = (1/m) tanh(|g(0) - ||y|||) k_z, floored at 1e-12.  The absolute value
-    makes the constant nonnegative regardless of the sign of g(0) - ||y||.
+    K = (1/m) s(|g(0) - ||y|||) k_z with s the loss's ``slope_bound`` (tanh at log-cosh h = 1),
+    floored at 1e-12.  The absolute value keeps K nonnegative whatever the sign of g(0) - ||y||.
     """
-    k = (1.0 / ctx.m) * math.tanh(abs(ctx.g_at_zero - ctx.y_norm)) * ctx.k_z
+    k = (1.0 / ctx.m) * slope_bound(loss, abs(ctx.g_at_zero - ctx.y_norm)) * ctx.k_z
     return max(k, K_FLOOR)
 
 

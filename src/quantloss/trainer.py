@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import head_seed, predict_prob, sbqc_batch_loss
 from .data import Dataset, FoldPlan, StandardizeStats, standardize_apply, standardize_fit, subset
-from .losses import LossSpec, batch_loss, quantile_crossing_grad, slope_bound
+from .losses import LossSpec, batch_loss, quantile_crossing_grad
 from .metrics import ConfusionMatrix, classification_metrics, rmse
 from .network import (
     LayerSpec,
@@ -32,7 +32,6 @@ from .network import (
     stack_models,
 )
 from .optim import (
-    K_FLOOR,
     LR_MAX_DEFAULT,
     LR_MIN_DEFAULT,
     AdamState,
@@ -41,6 +40,7 @@ from .optim import (
     adam_step,
     lalr_lr,
     lbfgs_step,
+    regression_lipschitz_constant,
     sbqc_layer_lipschitz_constant,
 )
 
@@ -116,7 +116,7 @@ class TrainConfig:
     loss: LossSpec | None = None          # regression loss
     sbqc_tau: float = 0.5                 # classification quantile marker
     optimizer: OptimizerSpec = OptimizerSpec()
-    lr_policy: str = "constant"
+    lr_policy: str | None = None          # None: "lalr" under lalr-adam, else "constant"
     epochs: int = 50
     batch_size: int = 64
     repeats: int = 20
@@ -124,6 +124,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        if self.lr_policy is None:
+            object.__setattr__(self, "lr_policy", "lalr" if self.optimizer.kind == "lalr-adam" else "constant")
         if self.task not in ("regression", "classification"):
             raise ValueError(f"task must be regression or classification, got {self.task!r}")
         if self.epochs < 1:
@@ -140,10 +142,8 @@ class TrainConfig:
             raise ValueError(f"sbqc tau must be inside (0, 1), got {self.sbqc_tau}")
         if self.optimizer.kind == "lbfgs" and self.lr_policy == "lalr":
             raise ValueError("lbfgs owns its step size; lalr policy does not apply")
-        if self.optimizer.kind == "lalr-adam":
-            if self.lr_policy not in ("constant", "lalr"):  # "constant" is the unset default
-                raise ValueError(_LALR_ADAM_POLICY_ERROR.format(self.lr_policy))
-            object.__setattr__(self, "lr_policy", "lalr")
+        if self.optimizer.kind == "lalr-adam" and self.lr_policy != "lalr":
+            raise ValueError(_LALR_ADAM_POLICY_ERROR.format(self.lr_policy))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -162,10 +162,7 @@ class TrainConfig:
             fields["sbqc_tau"] = sbqc["tau"]
         if "loss" in doc:
             fields["loss"] = LossSpec.from_dict(doc["loss"])
-        optimizer = OptimizerSpec.from_dict(doc.get("optimizer", {}))
-        if optimizer.kind == "lalr-adam" and fields.get("lr_policy", "lalr") != "lalr":
-            raise ValueError(_LALR_ADAM_POLICY_ERROR.format(fields["lr_policy"]))
-        return cls(task=doc["task"], optimizer=optimizer, **fields)
+        return cls(task=doc["task"], optimizer=OptimizerSpec.from_dict(doc.get("optimizer", {})), **fields)
 
     def to_dict(self) -> dict:
         d: dict[str, Any] = {
@@ -206,7 +203,7 @@ class SingleRun:
     final_params: np.ndarray
     diverged: bool
     line_search_failures: int = 0
-    #: (epoch, head) where an Adam run diverged; head is a tau-grid level's index
+    #: (epoch, head) where a run diverged; head is a tau-grid level's index, else 0
     diverged_at: tuple[int, int] | None = None
 
 
@@ -242,8 +239,7 @@ def _score(task: str, tau: float, outputs: np.ndarray, y: np.ndarray) -> dict[st
 
 def _val_metric(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> float:
     """The metric that picks the best epoch: accuracy, or rmse for regression."""
-    scores = _score(config.task, config.sbqc_tau, outputs, y)
-    return scores["accuracy" if config.task == "classification" else "rmse"]
+    return _head_val_metrics(config, outputs[None], y)[0]
 
 
 def _head_val_metrics(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> list[float]:
@@ -256,7 +252,7 @@ def _head_val_metrics(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -
     if config.task == "classification":
         hits = (predict_prob(outputs[..., 0], config.sbqc_tau) >= 0.5) == (y == 1.0)
         return (np.count_nonzero(hits, axis=1) / outputs.shape[1]).tolist()
-    return [_val_metric(config, out, y) for out in outputs]
+    return [rmse(out.ravel(), y.ravel()) for out in outputs]
 
 
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
@@ -266,16 +262,11 @@ def _epoch_lr(config: TrainConfig, epoch: int) -> float:
 
 
 def _layer_constant(config: TrainConfig, ctx: LipschitzContext) -> float:
-    """Per-batch final-layer constant K of the LALR rate, for either task.
-
-    Classification uses the sBQC constant.  Every regression kind uses
-    (1/m) s(|g(0) - ||y|||) K_z with s its loss's ``slope_bound``; at
-    log-cosh h = 1 that is ``regression_lipschitz_constant``.
-    """
+    """Per-batch final-layer constant K of the LALR rate, for either task: the sBQC
+    constant, or ``regression_lipschitz_constant`` under the config's loss."""
     if config.task == "classification":
         return sbqc_layer_lipschitz_constant(ctx)
-    k = (1.0 / ctx.m) * slope_bound(config.loss, abs(ctx.g_at_zero - ctx.y_norm)) * ctx.k_z
-    return max(k, K_FLOOR)
+    return regression_lipschitz_constant(ctx, config.loss)
 
 
 class _RunLog:
@@ -368,6 +359,7 @@ def train_single(
     return runs[0][0] if np.ndim(seed) == 0 else runs[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite outputs and losses are checked for
 def _train_lbfgs(
     config: TrainConfig, spec: LayerSpec,
     X_train: np.ndarray, y_train: np.ndarray, X_val: np.ndarray, y_val: np.ndarray, seed: int,
@@ -396,10 +388,13 @@ def _train_lbfgs(
 
     # params stays the line search's own vector: lbfgs_step keeps x0 and
     # the returned gradients across objective calls, so neither may alias
-    # the model's parameters or the workspace's gradient
+    # the model's parameters or the workspace's gradient.  A point whose
+    # outputs are not finite scores NaN, which the line search rejects.
     def objective(p: np.ndarray) -> tuple[float, np.ndarray]:
         set_flat_params(model, p)
         out, trace = forward(model, X_train, workspace=ws)
+        if not np.isfinite(out).all():
+            return math.nan, np.zeros_like(p)
         value, pred_grad = _loss_and_pred_grad(config, out, y_train)
         backward(model, trace, pred_grad, workspace=ws)
         return float(value), ws.grad.copy()
@@ -407,9 +402,9 @@ def _train_lbfgs(
     params = flatten_params(model)
     mem = LBFGSMemory(m_hist=config.optimizer.m_hist)
     cached = objective(params)
-    diverged = False
+    diverged_at = None
     ls_failures = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         had_memory = len(mem) > 0
         step = lbfgs_step(
             objective, params, mem,
@@ -421,12 +416,12 @@ def _train_lbfgs(
         ls_failures += not step.accepted
         params, cached = step.params, (step.value, step.grad)
         if not evaluate_epoch(params, step.value):
-            diverged = True
+            diverged_at = (epoch, 0)
             break
         if not (step.accepted or had_memory):
             # even the steepest-descent fallback cannot improve; converged
             break
-    return log.finish(params, diverged, ls_failures)
+    return log.finish(params, diverged_at is not None, ls_failures, diverged_at)
 
 
 def _head_losses(
@@ -739,8 +734,10 @@ def _metrics_for(config: TrainConfig, model_params, spec, X, y) -> dict[str, flo
 
 
 def _job_inputs(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> tuple:
-    """(config, fold_plan, dataset, validation slice): what ``_run_bin`` needs of a ``train()`` call."""
-    return config, fold_plan, dataset, subset(dataset, fold_plan.val_idx)
+    """(config, fold_plan, dataset, validation slice, network shape): what ``_run_bin`` needs of a
+    ``train()`` call."""
+    spec = _layer_spec(config, dataset.X.shape[1], 1 if dataset.y.ndim == 1 else dataset.y.shape[1])
+    return config, fold_plan, dataset, subset(dataset, fold_plan.val_idx), spec
 
 
 def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple) -> list[RunRecord]:
@@ -751,7 +748,7 @@ def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple) -> list[R
     ``train_single`` call, which for Adam is one stack for each number of
     batches per epoch among its folds (one stack on every preset).
     """
-    config, fold_plan, dataset, val_ds = inputs
+    config, fold_plan, dataset, val_ds, spec = inputs
     trains, tests, vals, standardizers = [], [], [], []
     for fold, _ in pieces:
         train_idx, test_idx = fold_plan.folds[fold]
@@ -763,8 +760,6 @@ def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple) -> list[R
     seeds = [[derive_seed(config.seed, fold, repeat) for repeat in repeats] for fold, repeats in pieces]
     runs = train_single(config, [tr.X for tr in trains], [tr.y for tr in trains],
                         [val.X for val in vals], [val.y for val in vals], seeds)
-    out_dim = 1 if dataset.y.ndim == 1 else dataset.y.shape[1]
-    spec = _layer_spec(config, dataset.X.shape[1], out_dim)
     records = []
     for (fold, repeats), te_std, val_std, stats, fold_runs in zip(pieces, tests, vals, standardizers, runs):
         for repeat, run in zip(repeats, fold_runs):
@@ -875,7 +870,8 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
         raise ValueError("the fold plan has no validation rows: train.val_fraction must leave at least one")
     bins = _jobs(config, len(fold_plan.folds))
     n_workers = _pool_size(len(bins))
-    run = partial(_run_bin, inputs=_job_inputs(config, fold_plan, dataset))
+    inputs = _job_inputs(config, fold_plan, dataset)
+    run = partial(_run_bin, inputs=inputs)
     if n_workers > 1:
         records = _run_jobs_in_processes(run, bins, n_workers)
     else:
@@ -905,9 +901,7 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
         default=None,
     )
     if best_rec is not None and best_rec.best_params is not None:
-        out_dim = 1 if dataset.y.ndim == 1 else dataset.y.shape[1]
-        spec = _layer_spec(config, dataset.X.shape[1], out_dim)
-        best_model = init_model(spec, derive_seed(config.seed, best_rec.fold, best_rec.repeat))
+        best_model = init_model(inputs[-1], derive_seed(config.seed, best_rec.fold, best_rec.repeat))
         set_flat_params(best_model, best_rec.best_params)
         best_stats = best_rec.standardizer
 

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify, data, losses, network, optim, secant_dist, trainer
+from . import classify, losses, network, optim, secant_dist, synthetic, trainer
 
 DIST_TAUS = (0.05, 0.25, 0.5, 0.75, 0.95)
 SBQC_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
-#: the 8-row classification fixture of a source checkout
+#: the 8-row classification fixture of a source checkout (the tests load it)
 TOY_CLASSIFICATION = Path(__file__).resolve().parents[2] / "data" / "fixtures" / "toy_classification.csv"
 
 
@@ -477,19 +477,20 @@ def check_lbfgs_descent_directions(seed: int = 0, grads: int = 1000) -> Property
     return PropertyResult("optim.lbfgs_descent", worst, 0.0, worst < 0.0)
 
 
-def check_stacked_repeats(path=TOY_CLASSIFICATION) -> PropertyResult:
+def check_stacked_repeats() -> PropertyResult:
     """Fields of stacked runs that differ from the same runs trained alone.
 
     ``train_single`` trains the repeats of a fold, and the folds of a
     worker's bin, as one ``ModelStack`` and promises each run bit for bit
     what it gives alone.  That holds only if this machine's BLAS multiplies
     each head of a batched matmul exactly as it multiplies one matrix, so it
-    is measured here: LALR-Adam with dropout 0.1 on the toy fixture, 2 epochs
-    of 3-row batches, for a 2-run stack on its 8 rows and for a stack across
-    two folds, those rows and the last 7 of them, whose last batches hold 2
-    rows and 1 row.  The second fold is validated on the rows in reverse.
+    is measured here: LALR-Adam with dropout 0.1 on 8 synthetic banknote
+    rows, built in-process so that no data file is needed, 2 epochs of 3-row
+    batches, for a 2-run stack on those rows and for a stack across two
+    folds, those rows and the last 7 of them, whose last batches hold 2 rows
+    and 1 row.  The second fold is validated on the rows in reverse.
     """
-    ds = data.load_csv(path, "label")
+    ds = synthetic.banknote_like(n=8)
     config = trainer.TrainConfig(
         task="classification", hidden_sizes=(16,), dropout=0.1,
         optimizer=trainer.OptimizerSpec(kind="lalr-adam"), epochs=2, batch_size=3,
