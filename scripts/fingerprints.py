@@ -3,9 +3,15 @@
 change leaves them bit-identical.
 
 Usage:
-    PYTHONPATH=src python scripts/fingerprints.py [--full] > fingerprints.txt
+    PYTHONPATH=src python scripts/fingerprints.py [--full] [--dump DIR] > fingerprints.txt
+    python scripts/fingerprints.py --compare DIR_A DIR_B
 
-Run it on two checkouts and diff the outputs.  The cases are:
+Run it on two checkouts and diff the outputs.  Where a change alters the
+arithmetic on purpose, run both with ``--dump``: it also writes every case's
+numeric leaves (array elements, and the numbers in its JSON parts in sorted
+key order) as one float64 vector per case.  ``--compare`` then prints each
+case's largest absolute and relative deviation between two such dumps.  The
+cases are:
 
 - ``plan``: ``stratified_kfold`` of the synthetic banknote, pima and wine
   sets for seeds 0, 1 and 7, k = 2, 3 and 5 and val_fraction 0, 0.2 and
@@ -29,6 +35,8 @@ import os
 import statistics
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -60,6 +68,47 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
+def leaves(*parts) -> np.ndarray:
+    """The parts' numeric leaves as one float64 vector, in the order ``digest`` reads them."""
+    out = []
+
+    def walk(node):
+        if hasattr(node, "tobytes"):
+            out.extend(np.asarray(node, dtype=float).ravel().tolist())
+        elif isinstance(node, dict):
+            for key in sorted(node):
+                walk(node[key])
+        elif isinstance(node, (list, tuple)):
+            for item in node:
+                walk(item)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out.append(float(node))
+
+    walk(list(parts))
+    return np.array(out, dtype=float)
+
+
+def compare(dir_a: Path, dir_b: Path) -> None:
+    """Print each case's max absolute and max relative deviation between two dumps."""
+    names_a = (dir_a / "cases.txt").read_text().splitlines()
+    names_b = (dir_b / "cases.txt").read_text().splitlines()
+    print("max_abs    max_rel    case")
+    for i, name in enumerate(names_a):
+        if name not in names_b:
+            print(f"{'-':10} {'-':10} {name} (missing in {dir_b})")
+            continue
+        a = np.load(dir_a / f"{i:04d}.npy")
+        b = np.load(dir_b / f"{names_b.index(name):04d}.npy")
+        if a.shape != b.shape:
+            print(f"{'-':10} {'-':10} {name} ({a.size} leaves against {b.size})")
+            continue
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        diff = np.where(same, 0.0, np.abs(a - b))
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+        print(f"{diff.max(initial=0.0):<10.3g} {rel.max(initial=0.0):<10.3g} {name}")
+
+
 def plan_cases():
     for name in ("banknote", "pima", "wine"):
         ds = synthetic.GENERATORS[name]()
@@ -68,15 +117,15 @@ def plan_cases():
                 for val_fraction in (0.0, 0.2, 0.33):
                     plan = data.stratified_kfold(ds, k, val_fraction, seed)
                     parts = [a for fold in plan.folds for a in fold]
-                    yield f"plan {name} seed={seed} k={k} val={val_fraction}", digest(plan.val_idx, *parts)
+                    yield f"plan {name} seed={seed} k={k} val={val_fraction}", [plan.val_idx, *parts]
         try:
             data.stratified_kfold(data.subset(ds, list(range(4))), 5)
         except ValueError as e:
-            yield f"plan {name} first-4-rows k=5 error", digest(str(e))
+            yield f"plan {name} first-4-rows k=5 error", [str(e)]
 
 
-def train_digest(doc: dict, seed: int, threads: str, cut: bool) -> str:
-    """digest of ``train()`` on a config document at ``seed`` with ``QUANTLOSS_THREADS`` = threads."""
+def train_parts(doc: dict, seed: int, threads: str, cut: bool) -> list:
+    """The hashed parts of ``train()`` on a config document at ``seed`` with ``QUANTLOSS_THREADS`` = threads."""
     train_cfg = doc["train"]
     train_cfg["seed"] = seed
     if cut:
@@ -91,7 +140,7 @@ def train_digest(doc: dict, seed: int, threads: str, cut: bool) -> str:
         parts += [report.best_model.spec.to_dict(), report.best_model.params]
     if report.best_standardizer is not None:
         parts += [report.best_standardizer.mean, report.best_standardizer.scale]
-    return digest(*parts)
+    return parts
 
 
 def train_cases(full: bool):
@@ -100,14 +149,14 @@ def train_cases(full: bool):
         for seed in (0, 1):
             for threads in ("1", "2"):
                 doc = cli.load_config(str(ROOT / "configs" / preset))
-                yield f"train {preset} seed={seed} threads={threads}", train_digest(doc, seed, threads, not full)
+                yield f"train {preset} seed={seed} threads={threads}", train_parts(doc, seed, threads, not full)
 
 
 def unreached_cases():
     for name, preset, sections in UNREACHED:
         for seed in (0, 1):
             doc = {**cli.load_config(str(ROOT / "configs" / preset)), **sections}
-            yield f"train {name} seed={seed}", train_digest(doc, seed, "1", cut=True)
+            yield f"train {name} seed={seed}", train_parts(doc, seed, "1", cut=True)
 
 
 def grid_cases():
@@ -129,16 +178,30 @@ def grid_cases():
         sweep = [lo + (hi - lo) * i / 40 for i in range(41)]
         background = [statistics.median(c) for c in pool.X.T.tolist()]
         curve = classify.quantile_curve(mq, 1, sweep, background)
-        yield f"grid {GRID_PRESET} seed={seed}", digest(mq.latents(held.X), curve.tau_star, curve.status)
+        yield f"grid {GRID_PRESET} seed={seed}", [mq.latents(held.X), curve.tau_star, curve.status]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true", help="train the presets at their own size")
+    parser.add_argument("--dump", type=Path, metavar="DIR", help="also write each case's numeric leaves into DIR")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="print each case's largest deviation between two dumps, and run nothing")
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    names = []
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
     for cases in (plan_cases(), train_cases(args.full), unreached_cases(), grid_cases()):
-        for name, value in cases:
-            print(f"{value}  {name}", flush=True)
+        for name, parts in cases:
+            print(f"{digest(*parts)}  {name}", flush=True)
+            if args.dump:
+                np.save(args.dump / f"{len(names):04d}.npy", leaves(*parts))
+                names.append(name)
+    if args.dump:
+        (args.dump / "cases.txt").write_text("".join(n + "\n" for n in names))
     return 0
 
 

@@ -92,24 +92,24 @@ class LayerSpec:
         )
 
 
-def _param_views(
-    spec: LayerSpec, flat: np.ndarray, heads: int | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into a flat vector laid out W1, b1, W2, b2, ...
-
-    With ``heads`` the vector holds that many such layouts one after another,
-    and every view gains a leading head axis.
+def _layer_blocks(spec: LayerSpec, flat: np.ndarray, heads: int | None = None) -> list[np.ndarray]:
+    """Per-layer views into a flat vector laid out W1, b1, W2, b2, ...: each layer's
+    weights with its bias as one more row, (fan_in + 1, fan_out).  With ``heads``
+    the vector holds that many layouts in turn, and every view gains a head axis.
     """
     lead = () if heads is None else (heads,)
     rows = flat.reshape(lead + (-1,))
-    weights, biases = [], []
-    k = 0
+    blocks, k = [], 0
     for fan_in, fan_out in spec.layer_dims:
-        weights.append(rows[..., k : k + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
-        k += fan_in * fan_out
-        biases.append(rows[..., k : k + fan_out])
-        k += fan_out
-    return weights, biases
+        blocks.append(rows[..., k : k + (fan_in + 1) * fan_out].reshape(lead + (fan_in + 1, fan_out)))
+        k += (fan_in + 1) * fan_out
+    return blocks
+
+
+def _param_views(spec: LayerSpec, flat: np.ndarray, heads: int | None = None) -> tuple[list, list]:
+    """Per-layer weight and bias views: each ``_layer_blocks`` block's rows but the last, and its last."""
+    blocks = _layer_blocks(spec, flat, heads)
+    return [b[..., :-1, :] for b in blocks], [b[..., -1, :] for b in blocks]
 
 
 @dataclass
@@ -218,12 +218,13 @@ class ForwardTrace:
 
         A (heads, m, width) final-layer input gives one value per head, each
         equal to the ``k_z`` of that head's single-network trace; a single
-        network's (m, width) input gives a 0-d array.
+        network's (m, width) input gives a 0-d array.  max(a.max, -a.min) is max |a|
+        bit for bit without forming |a|; the outer abs gives -0.0 and NaN |a|'s sign.
         """
         a = self.activations[-2]
         if a.shape[-2] == 0:
             return np.zeros(a.shape[:-2])
-        return np.max(np.abs(a), axis=(-2, -1))
+        return np.abs(np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1))))
 
 
 class _Prefixes:
@@ -274,16 +275,19 @@ class Workspace:
         #: flat gradient vector, laid out like ``MLPModel.params`` (or ``ModelStack.params``)
         self.grad = grad
         self._grad_views = _param_views(spec, grad, heads)
-        self._lead = lead = () if heads is None else (heads,)
+        self._grad_blocks = _layer_blocks(spec, grad, heads)
+        lead = () if heads is None else (heads,)
         hidden = [(h, float) for h in spec.hidden_sizes]
         # relu's derivative is 0 or 1, so a bool flag carries it exactly
         slope = {"relu": bool, "tanh": float}.get(spec.activation)
-        # forward: pre-activations, activations, dropout masks; backward: output gradient,
-        # d loss / d activations, activation slopes; predict: one head's hidden rows
-        self._forward = _Prefixes(lead, [[(w, float) for _, w in spec.layer_dims], hidden,
+        dims = spec.layer_dims
+        # forward: pre-activations, activations, dropout masks; backward: output gradient, d loss /
+        # d activations, slopes, the [a_prev ∘ col | col] of ``backward``; predict: one head's hidden rows
+        self._forward = _Prefixes(lead, [[(w, float) for _, w in dims], hidden,
                                          [c if p > 0.0 else None for c, p in zip(hidden, spec.dropout)]])
         self._backward = _Prefixes(lead, [[(spec.output_dim, float)], hidden,
-                                          [(h, slope) for h in spec.hidden_sizes] if slope else []])
+                                          [slope and (h, slope) for h in spec.hidden_sizes],
+                                          [(d + 1, float) if w == 1 else None for (d, _), (_, w) in zip(dims, dims[1:])]])
         self._predict = shared or _Prefixes((), [hidden])
 
     def head_range(self, start: int, stop: int) -> "Workspace":
@@ -440,6 +444,17 @@ def predict(
     return out
 
 
+def _slope(kind: str, z: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """The hidden activation's derivative at z, written into ``out``; None for identity."""
+    if kind == "relu":
+        return np.greater(z, 0.0, out=out)
+    if kind == "tanh":
+        np.tanh(z, out=out)
+        out *= out
+        return np.subtract(1.0, out, out=out)
+    return None
+
+
 def backward(
     model: MLPModel | ModelStack,
     trace: ForwardTrace,
@@ -455,55 +470,62 @@ def backward(
     are reused, so the gradient matches the exact function computed by the
     forward pass.  An ``output_grad`` that is not C-contiguous is copied into
     a contiguous buffer first, so the gradient does not depend on its layout.
+
+    Below a one-column layer (the linear output unit), d loss / d z = col ∘ row ∘ S
+    (col: the (m, 1) delta above, row: its weights, S: slope × dropout mask) is never
+    formed: [gW; gb] = row ∘ ([a_prev ∘ col | col]ᵀ S), and da_prev = col ∘ ((S ∘ row) Wᵀ).
     """
     n_layers = len(model.weights)
     if len(trace.activations) != n_layers + 1:
         raise ValueError("trace does not match model depth")
     g = np.asarray(output_grad, dtype=float)
     if g.shape != trace.activations[-1].shape:
-        raise ValueError(
-            f"output_grad shape {g.shape} does not match outputs {trace.activations[-1].shape}"
-        )
+        raise ValueError(f"output_grad shape {g.shape} does not match outputs {trace.activations[-1].shape}")
     workspace = workspace or Workspace(model.spec, model.heads)
     workspace._check(model)
-    (out_grad,), da_bufs, slopes = workspace._backward.get(g.shape[-2])
+    (out_grad,), da_bufs, slopes, ab_bufs = workspace._backward.get(g.shape[-2])
     if not (g.flags.c_contiguous and g.flags.aligned):
         # a strided gradient can take another BLAS path and change the rounding
         np.copyto(out_grad, g)
         g = out_grad
     weight_grads, bias_grads = workspace._grad_views
     kind = model.spec.activation
-    delta = g  # output layer is linear, so d loss / d z_L = output_grad
+    delta, col = g, None  # output layer is linear, so d loss / d z_L = output_grad
     for layer in range(n_layers - 1, -1, -1):
-        a_prev = trace.activations[layer]
-        if a_prev.shape[-1] != model.weights[layer].shape[-2]:
+        a_prev, w = trace.activations[layer], model.weights[layer]
+        if a_prev.shape[-1] != w.shape[-2]:
             raise ValueError("trace does not match model shapes")
-        np.matmul(a_prev.swapaxes(-1, -2), delta, out=weight_grads[layer])
-        delta.sum(axis=-2, out=bias_grads[layer])
-        if layer > 0:
-            # d loss / d activations of the layer's input; becomes the next delta
-            w_t = model.weights[layer].swapaxes(-1, -2)
-            if w_t.shape[-2] == 1:
-                # one output column: an outer product, formed as the weight row
-                # copied to every row and scaled in place, without BLAS's
-                # inner-dimension-1 gemm
-                da = da_bufs[layer - 1]
-                np.copyto(da, w_t)
-                da *= delta
-            else:
-                da = np.matmul(delta, w_t, out=da_bufs[layer - 1])
-            mask = trace.dropout_masks[layer - 1]
+        if col is None:
+            np.matmul(a_prev.swapaxes(-1, -2), delta, out=weight_grads[layer])
+            delta.sum(axis=-2, out=bias_grads[layer])
+        else:  # delta holds S; [a_prev ∘ col | col]ᵀ fills its buffer as (fan_in + 1, m) rows
+            ab_t, col_t = ab_bufs[layer].reshape(ab_bufs[layer].swapaxes(-1, -2).shape), col.swapaxes(-1, -2)
+            np.multiply(a_prev.swapaxes(-1, -2), col_t, out=ab_t[..., :-1, :])
+            ab_t[..., -1:, :] = col_t
+            np.matmul(ab_t, delta, out=workspace._grad_blocks[layer])
+            workspace._grad_blocks[layer] *= row
+        if layer == 0:
+            break
+        # the next delta, d loss / d z of the layer below; or its S, with col and row kept aside
+        mask, z, da = trace.dropout_masks[layer - 1], trace.pre_activations[layer - 1], da_bufs[layer - 1]
+        if col is None and w.shape[-1] == 1:
+            col, row = delta, w.swapaxes(-1, -2)
+            if _slope(kind, z, da) is None:
+                da.fill(1.0)
             if mask is not None:
                 da *= mask
-            z = trace.pre_activations[layer - 1]
-            if kind == "relu":
-                da *= np.greater(z, 0.0, out=slopes[layer - 1])
-            elif kind == "tanh":
-                slope = slopes[layer - 1]
-                np.tanh(z, out=slope)
-                slope *= slope
-                da *= np.subtract(1.0, slope, out=slope)
-            delta = da
+        else:
+            if col is not None:
+                delta *= row  # d loss / d a_prev = col ∘ ((S ∘ row) Wᵀ)
+            np.matmul(delta, w.swapaxes(-1, -2), out=da)
+            if col is not None:
+                da *= col
+            col = None
+            if mask is not None:
+                da *= mask
+            if kind != "identity":
+                da *= _slope(kind, z, slopes[layer - 1])
+        delta = da
     return list(weight_grads), list(bias_grads)
 
 

@@ -87,15 +87,18 @@ class AsymmetricHSD:
     def inv_cdf(self, p):
         """Quantile function, the algebraic inverse of each cdf branch.
 
-        For p <= tau: 2 artanh(tan(pi (p - tau) / (4 tau))); for p > tau the
-        same with 1 - tau in the denominator.  p must lie strictly in (0, 1).
+        For p <= tau: ln(tan(pi p / (4 tau))); for p > tau its mirror on 1 - p
+        and 1 - tau.  The left tail keeps full relative precision to x = -705,
+        and p = tau gives 0 exactly.  p must lie strictly in (0, 1): cdf(x)
+        rounds to 1 from x = 37 or so (cdf(40) == 1.0), and inv_cdf refuses it.
         """
         p = np.asarray(p, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):
             raise ValueError("inv_cdf requires p strictly inside (0, 1)")
         lower = p <= self.tau
-        denom = np.where(lower, self.tau, 1.0 - self.tau)
-        out = 2.0 * np.arctanh(np.tan(math.pi * (p - self.tau) / (4.0 * denom)))
+        ratio = np.where(lower, p / self.tau, (1.0 - p) / (1.0 - self.tau))
+        tail = np.where(ratio < 1.0, np.log(np.tan(QUARTER_PI * ratio)), 0.0)  # tan(QUARTER_PI) < 1
+        out = np.where(lower, tail, -tail)
         return float(out) if out.ndim == 0 else out
 
     def sample(self, seed: int, n: int) -> np.ndarray:

@@ -237,8 +237,12 @@ def _score(task: str, tau: float, outputs: np.ndarray, y: np.ndarray) -> dict[st
     return {"rmse": rmse(outputs.ravel(), y.ravel())}
 
 
+#: per task, the validation metric that picks the best epoch and run, and whether higher is better
+BEST_METRIC = {"classification": ("accuracy", True), "regression": ("rmse", False)}
+
+
 def _val_metric(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> float:
-    """The metric that picks the best epoch: accuracy, or rmse for regression."""
+    """The task's ``BEST_METRIC`` of (m, out) outputs."""
     return _head_val_metrics(config, outputs[None], y)[0]
 
 
@@ -367,7 +371,7 @@ def _train_lbfgs(
     """Full-batch L-BFGS for one run; each accepted or rejected step is an epoch."""
     model = init_model(spec, seed)
     ws = Workspace(spec)
-    log = _RunLog(config.task == "classification", lalr=False)
+    log = _RunLog(BEST_METRIC[config.task][1], lalr=False)
 
     def evaluate_epoch(p: np.ndarray, tl: float) -> bool:
         """Record the epoch at ``p``, whose training loss is ``tl``; False when
@@ -541,7 +545,7 @@ def _train_adam(
         taus, loss = list(levels), partial(_grid_losses, np.array(levels), reg_weight)
         init_seeds = [head_seed(s, t) for s in seeds for t in levels]
     L = len(taus)  # heads per run
-    logs = [_RunLog(classification, lalr) for _ in seeds]
+    logs = [_RunLog(BEST_METRIC[config.task][1], lalr) for _ in seeds]
     runs: list[SingleRun | None] = [None] * len(seeds)
     batch_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xBA7C4])) for s in seeds]
     mask_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xD809])) for s in init_seeds]
@@ -893,8 +897,7 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
     # the exported model is the best-validation run's best-epoch parameters,
     # with the standardizer fitted on its fold's training split
     best_model = best_stats = None
-    key = "accuracy" if config.task == "classification" else "rmse"
-    higher = config.task == "classification"
+    key, higher = BEST_METRIC[config.task]
     best_rec = max(
         (rec for rec in records if not rec.diverged and key in rec.val_metrics),
         key=lambda rec: rec.val_metrics[key] if higher else -rec.val_metrics[key],
@@ -915,9 +918,9 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
 
 
 def _check_threshold_metric(metric: str, task: str) -> None:
-    """Raise a ValueError unless a ``task`` run traces ``metric``: accuracy (classification's
-    validation metric), rmse (regression's), or the validation loss ("loss" or "val_loss")."""
-    traced = {"accuracy": "classification", "rmse": "regression", "loss": task, "val_loss": task}
+    """Raise a ValueError unless a ``task`` run traces ``metric``: its ``BEST_METRIC``
+    (accuracy or rmse) or the validation loss ("loss" or "val_loss")."""
+    traced = {metric: t for t, (metric, _) in BEST_METRIC.items()} | {"loss": task, "val_loss": task}
     if metric not in traced:
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(traced)}")
     if traced[metric] != task:
@@ -943,7 +946,7 @@ def epochs_to_threshold(report: RunReport, metric: str, threshold: float):
         return None
     n_epochs = min(len(t) for t in traces)
     mean_trace = np.mean([t[:n_epochs] for t in traces], axis=0)
-    higher = metric == "accuracy"
+    higher = BEST_METRIC[report.config["task"]] == (metric, True)
     for epoch, v in enumerate(mean_trace):
         if (higher and v >= threshold) or (not higher and v <= threshold):
             return epoch

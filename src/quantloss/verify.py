@@ -227,11 +227,12 @@ def check_cdf_symmetry() -> PropertyResult:
 
 
 def check_inv_cdf_roundtrip() -> PropertyResult:
-    """Both round trips: through p at 1e-9, and through x at 1e-7 up to the
-    float64 conditioning floor ulp/pdf(x) in the far thin tail."""
+    """Both round trips: through p at 1e-9, and through x at 1e-7 up to the float64 conditioning
+    floor ulp/pdf(x) in the far thin tail, and from -20 to -700 at 1e-12 relative."""
     worst = 0.0
     ok = True
     x = np.linspace(-20, 20, 2001)
+    left = -np.geomspace(20, 700, 200)
     p = np.linspace(1e-6, 1 - 1e-6, 2001)
     ulp = np.finfo(float).eps
     for tau in DIST_TAUS:
@@ -240,6 +241,7 @@ def check_inv_cdf_roundtrip() -> PropertyResult:
         err_x = np.abs(d.inv_cdf(d.cdf(x)) - x)
         allowed = np.maximum(1e-7, 4.0 * ulp / np.maximum(d.pdf(x), 1e-300))
         ok = ok and bool(np.all(err_x <= allowed))
+        ok = ok and bool(np.all(np.abs(d.inv_cdf(d.cdf(left)) / left - 1.0) <= 1e-12))
     return PropertyResult("dist.invcdf_cdf_identity", worst, 1e-9, ok and worst <= 1e-9)
 
 
