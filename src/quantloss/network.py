@@ -106,9 +106,8 @@ def _layer_blocks(spec: LayerSpec, flat: np.ndarray, heads: int | None = None) -
     return blocks
 
 
-def _param_views(spec: LayerSpec, flat: np.ndarray, heads: int | None = None) -> tuple[list, list]:
+def _param_views(blocks: list[np.ndarray]) -> tuple[list, list]:
     """Per-layer weight and bias views: each ``_layer_blocks`` block's rows but the last, and its last."""
-    blocks = _layer_blocks(spec, flat, heads)
     return [b[..., :-1, :] for b in blocks], [b[..., -1, :] for b in blocks]
 
 
@@ -116,10 +115,10 @@ def _param_views(spec: LayerSpec, flat: np.ndarray, heads: int | None = None) ->
 class MLPModel:
     """A network's parameters, held in one flat float64 vector ``params``.
 
-    ``weights`` and ``biases`` are reshaped views into ``params`` (order W1,
-    b1, W2, b2, ..., row-major), so writing either one writes the other.  The
-    constructor copies the arrays it is given into a new vector; it never
-    aliases them.  Rebinding ``params`` or a list entry breaks the views.
+    ``weights``, ``biases`` and ``blocks`` (each layer's [W; b]) are views into
+    ``params`` (order W1, b1, W2, b2, ..., row-major), so writing one writes the
+    others.  The constructor copies the arrays it is given into a new vector; it
+    never aliases them.  Rebinding ``params`` or a list entry breaks the views.
     """
 
     spec: LayerSpec
@@ -127,6 +126,7 @@ class MLPModel:
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: list[np.ndarray] = field(init=False, repr=False, compare=False)
     #: a single network has no head axis (see ``ModelStack``)
     heads: ClassVar[None] = None
 
@@ -138,7 +138,8 @@ class MLPModel:
         ):
             raise ValueError("parameter arrays do not match the declared spec")
         self.params = np.asarray(flatten_arrays(self.weights, self.biases), dtype=float)
-        self.weights, self.biases = _param_views(self.spec, self.params)
+        self.blocks = _layer_blocks(self.spec, self.params)
+        self.weights, self.biases = _param_views(self.blocks)
 
 
 @dataclass
@@ -147,7 +148,8 @@ class ModelStack:
 
     ``params`` holds the heads one after another: head j's slice is laid out
     exactly like its ``MLPModel.params``.  ``weights[l]`` are views of shape
-    (heads, fan_in, fan_out) and ``biases[l]`` of shape (heads, 1, fan_out),
+    (heads, fan_in, fan_out), ``biases[l]`` of shape (heads, 1, fan_out) and
+    ``blocks[l]`` of shape (heads, fan_in + 1, fan_out),
     so ``forward`` and ``backward`` run every head on one shared input batch
     through the code path of a single network, with outputs and gradients
     gaining the leading head axis.  ``np.matmul`` runs the same kernel on each
@@ -160,13 +162,15 @@ class ModelStack:
     params: np.ndarray = field(repr=False)
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
+    blocks: list[np.ndarray] = field(init=False, repr=False)
     heads: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.heads = len(self.seeds)
         if self.heads < 1 or self.params.shape != (self.heads * self.spec.num_params(),):
             raise ValueError("stacked parameters do not match the declared spec and head count")
-        self.weights, biases = _param_views(self.spec, self.params, self.heads)
+        self.blocks = _layer_blocks(self.spec, self.params, self.heads)
+        self.weights, biases = _param_views(self.blocks)
         self.biases = [b[:, None, :] for b in biases]
 
     def head_range(self, start: int, stop: int) -> "ModelStack":
@@ -178,7 +182,7 @@ class ModelStack:
     def unstack(self) -> list[MLPModel]:
         """One ``MLPModel`` per head, each with a copy of that head's parameters."""
         return [
-            MLPModel(self.spec, seed, *_param_views(self.spec, row))
+            MLPModel(self.spec, seed, *_param_views(_layer_blocks(self.spec, row)))
             for seed, row in zip(self.seeds, self.params.reshape(self.heads, -1))
         ]
 
@@ -251,6 +255,11 @@ class _Prefixes:
         return views
 
 
+def _predict_buffers(spec: LayerSpec) -> _Prefixes:
+    """``predict``'s buffers, for one head's m rows: the input [x | 1], and one per hidden layer."""
+    return _Prefixes((), [[(spec.input_dim + 1, float)], [(h, float) for h in spec.hidden_sizes]])
+
+
 class Workspace:
     """Reusable buffers for ``forward``, ``backward`` and ``predict`` on one network shape.
 
@@ -263,8 +272,8 @@ class Workspace:
     that.  A workspace for a ``ModelStack`` is built with its head count;
     its buffers have a leading head axis and serve a batch shared by every
     head, (m, d), and one batch per head, (heads, m, d), alike.  ``predict``
-    borrows one buffer of one head's m rows per hidden layer, which the next
-    ``predict`` on this workspace overwrites; it touches no ``forward`` buffer.
+    borrows one head's m rows of [x | 1] and of each hidden layer, which the
+    next ``predict`` on this workspace overwrites; it touches no ``forward`` buffer.
     """
 
     def __init__(self, spec: LayerSpec, heads: int | None = None):
@@ -274,21 +283,22 @@ class Workspace:
         self.spec, self.heads = spec, heads
         #: flat gradient vector, laid out like ``MLPModel.params`` (or ``ModelStack.params``)
         self.grad = grad
-        self._grad_views = _param_views(spec, grad, heads)
         self._grad_blocks = _layer_blocks(spec, grad, heads)
+        self._grad_views = _param_views(self._grad_blocks)
         lead = () if heads is None else (heads,)
         hidden = [(h, float) for h in spec.hidden_sizes]
         # relu's derivative is 0 or 1, so a bool flag carries it exactly
         slope = {"relu": bool, "tanh": float}.get(spec.activation)
         dims = spec.layer_dims
-        # forward: pre-activations, activations, dropout masks; backward: output gradient, d loss /
-        # d activations, slopes, the [a_prev ∘ col | col] of ``backward``; predict: one head's hidden rows
+        # forward: pre-activations, activations, dropout masks, the input [x | 1]; backward: output
+        # gradient, d loss / d activations, slopes, the [a_prev ∘ col | col] of ``backward``
         self._forward = _Prefixes(lead, [[(w, float) for _, w in dims], hidden,
-                                         [c if p > 0.0 else None for c, p in zip(hidden, spec.dropout)]])
+                                         [c if p > 0.0 else None for c, p in zip(hidden, spec.dropout)],
+                                         [(spec.input_dim + 1, float)]])
         self._backward = _Prefixes(lead, [[(spec.output_dim, float)], hidden,
                                           [slope and (h, slope) for h in spec.hidden_sizes],
                                           [(d + 1, float) if w == 1 else None for (d, _), (_, w) in zip(dims, dims[1:])]])
-        self._predict = shared or _Prefixes((), [hidden])
+        self._predict = shared or _predict_buffers(spec)
 
     def head_range(self, start: int, stop: int) -> "Workspace":
         """A workspace for ``ModelStack.head_range(start, stop)`` of this one's stack.
@@ -338,6 +348,15 @@ def _dense(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.n
     return z
 
 
+def _dense_first(x: np.ndarray, block: np.ndarray, x1: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ W + b of the first layer as [x | 1] @ [W; b] into ``out``, with no bias pass; [x | 1] goes into
+    ``x1`` (one head's rows for a shared batch), ones too, as another row count's prefix may have put x there."""
+    x1 = x1[0] if x1.ndim > x.ndim else x1
+    x1[..., :-1] = x
+    x1[..., -1] = 1.0
+    return np.matmul(x1, block, out=out)
+
+
 def _activate(kind: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The hidden activation of z, written into ``out`` (which may be z); z for identity."""
     if kind == "relu":
@@ -370,7 +389,7 @@ def forward(
     heads = model.heads
     workspace = workspace or Workspace(model.spec, heads)
     workspace._check(model)
-    pre_bufs, act_bufs, mask_bufs = workspace._forward.get(x.shape[-2])
+    pre_bufs, act_bufs, mask_bufs, (x1,) = workspace._forward.get(x.shape[-2])
     rng = head_rngs = None
     if train_mode and np.ndim(seed) == 0:
         rng = np.random.default_rng(seed)
@@ -384,7 +403,7 @@ def forward(
     pre, acts, masks = [], [x], []
     a = x
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = _dense(a, w, b, pre_bufs[layer])
+        z = _dense(a, w, b, pre_bufs[layer]) if layer else _dense_first(x, model.blocks[0], x1, pre_bufs[0])
         pre.append(z)
         mask = None
         if layer == last:
@@ -419,28 +438,21 @@ def predict(
     place, so each matrix product is the one ``forward`` makes for that head
     and the outputs equal ``forward(model, batch)[0]`` bit for bit.  Returns
     a new (m, out) array, or (heads, m, out) for a stack; the workspace lends
-    only the hidden-layer buffers.  The batch is checked as in ``forward``,
+    only the [x | 1] and hidden-layer buffers.  The batch is checked as in ``forward``,
     with the same errors.
     """
     x = _checked_batch(model, batch)
     spec, m = model.spec, x.shape[-2]
-    if workspace is None:
-        hidden = [np.empty((m, h)) for h in spec.hidden_sizes]
-    else:
+    if workspace is not None:
         workspace._check(model)
-        (hidden,) = workspace._predict.get(m)
+    (x1,), hidden = (workspace._predict if workspace else _predict_buffers(spec)).get(m)
     out = np.empty(((m,) if model.heads is None else (model.heads, m)) + (spec.output_dim,))
-    if model.heads is None:
-        runs = [(x, model.weights, model.biases, out)]
-    else:
-        runs = [
-            (x[j] if x.ndim == 3 else x, [w[j] for w in model.weights], [b[j] for b in model.biases], out[j])
-            for j in range(model.heads)
-        ]
-    for a, weights, biases, head_out in runs:
-        for w, b, z in zip(weights[:-1], biases[:-1], hidden):
-            a = _activate(spec.activation, _dense(a, w, b, z), z)
-        _dense(a, weights[-1], biases[-1], head_out)
+    runs = [(x, model.blocks, out)] if model.heads is None else [
+        (x[j] if x.ndim == 3 else x, [b[j] for b in model.blocks], out[j]) for j in range(model.heads)]
+    for a, blocks, head_out in runs:
+        for layer, (block, z) in enumerate(zip(blocks, [*hidden, head_out])):
+            z = _dense_first(a, block, x1, z) if layer == 0 else _dense(a, block[:-1], block[-1], z)
+            a = z if z is head_out else _activate(spec.activation, z, z)
     return out
 
 
@@ -552,7 +564,7 @@ def _checked_flat(model: MLPModel, flat) -> np.ndarray:
 
 def unflatten_params(model: MLPModel, flat: np.ndarray) -> MLPModel:
     """New model with parameters taken from the flat vector (inverse of flatten)."""
-    weights, biases = _param_views(model.spec, _checked_flat(model, flat))
+    weights, biases = _param_views(_layer_blocks(model.spec, _checked_flat(model, flat)))
     return MLPModel(spec=model.spec, seed=model.seed, weights=weights, biases=biases)
 
 

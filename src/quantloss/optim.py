@@ -35,33 +35,42 @@ class LipschitzContext:
     ``m`` is the batch size, ``y_norm`` the largest label-row 2-norm seen
     across batches, ``k_z`` the largest penultimate activation magnitude from
     the forward trace, ``g_at_zero`` the output activation at 0, and ``tau``
-    the quantile marker when the classification loss is in play.
+    the quantile marker when the classification loss is in play.  ``k_z`` may be a list of one
+    value per head, and ``y_norm`` and ``tau`` with it: the constants then give one K per head.
     """
 
     m: int
-    y_norm: float
-    k_z: float
+    y_norm: float | list[float]
+    k_z: float | list[float]
     g_at_zero: float = 0.0
-    tau: float | None = None
+    tau: float | list[float] | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"batch size must be >= 1, got {self.m}")
-        if self.k_z < 0:
-            raise ValueError(f"k_z must be >= 0, got {self.k_z}")
+        if min(self._heads("k_z"), default=0.0) < 0:
+            raise ValueError(f"k_z must be >= 0, got {min(self._heads('k_z'))}")
         for name in ("y_norm", "k_z", "g_at_zero"):
-            if not math.isfinite(getattr(self, name)):
+            if not all(map(math.isfinite, self._heads(name))):
                 raise ValueError(f"{name} must be finite")
 
+    def _heads(self, name: str) -> list:
+        """A field's value for each head: a list's entries, or its one value for every head."""
+        v = getattr(self, name)
+        return v if isinstance(v, list) else [v] * (len(self.k_z) if isinstance(self.k_z, list) else 1)
 
-def regression_lipschitz_constant(ctx: LipschitzContext, loss: LossSpec = LossSpec(LossKind.LOG_COSH)) -> float:
+
+def regression_lipschitz_constant(ctx: LipschitzContext, loss: LossSpec = LossSpec(LossKind.LOG_COSH)) -> float | list:
     """Final-layer gradient constant for regression, by default under log-cosh with h = 1.
 
     K = (1/m) s(|g(0) - ||y|||) k_z with s the loss's ``slope_bound`` (tanh at log-cosh h = 1),
     floored at 1e-12.  The absolute value keeps K nonnegative whatever the sign of g(0) - ||y||.
+    Each head's K is this scalar formula, with s taken once per distinct ||y|| (one per fold).
     """
-    k = (1.0 / ctx.m) * slope_bound(loss, abs(ctx.g_at_zero - ctx.y_norm)) * ctx.k_z
-    return max(k, K_FLOOR)
+    y_norms = ctx._heads("y_norm")
+    slopes = {y: slope_bound(loss, abs(ctx.g_at_zero - y)) for y in set(y_norms)}
+    ks = [max((1.0 / ctx.m) * slopes[y] * k, K_FLOOR) for y, k in zip(y_norms, ctx._heads("k_z"))]
+    return ks if isinstance(ctx.k_z, list) else ks[0]
 
 
 def sbqc_lipschitz_constant(tau: float) -> float:
@@ -75,16 +84,19 @@ def sbqc_lipschitz_constant(tau: float) -> float:
     return (2.0 / math.pi) * max(1.0, (1.0 - tau) / tau, tau / (1.0 - tau))
 
 
-def sbqc_layer_lipschitz_constant(ctx: LipschitzContext) -> float:
+def sbqc_layer_lipschitz_constant(ctx: LipschitzContext) -> float | list[float]:
     """Final-layer gradient constant for sBQC training.
 
     The batch-mean gradient of the loss with respect to a last-layer weight is
     a mean of per-example terms, each bounded by the loss slope constant times
-    the penultimate activation, so K = sbqc_constant(tau) * k_z (floored).
+    the penultimate activation, so K = sbqc_constant(tau) * k_z (floored), per head.
     """
     if ctx.tau is None:
         raise ValueError("context has no tau; required for the sBQC constant")
-    return max(sbqc_lipschitz_constant(ctx.tau) * ctx.k_z, K_FLOOR)
+    taus = ctx._heads("tau")
+    constants = {tau: sbqc_lipschitz_constant(tau) for tau in set(taus)}
+    ks = [max(constants[tau] * k, K_FLOOR) for tau, k in zip(taus, ctx._heads("k_z"))]
+    return ks if isinstance(ctx.k_z, list) else ks[0]
 
 
 def lalr_lr(K: float, lr_min: float = LR_MIN_DEFAULT, lr_max: float = LR_MAX_DEFAULT) -> float:

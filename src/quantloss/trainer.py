@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .classify import head_seed, predict_prob, sbqc_batch_loss
+from .classify import head_seed, predict_prob, sbqc_batch_loss, sbqc_batch_value
 from .data import Dataset, FoldPlan, StandardizeStats, standardize_apply, standardize_fit, subset
 from .losses import LossSpec, batch_loss, quantile_crossing_grad
 from .metrics import ConfusionMatrix, classification_metrics, rmse
@@ -265,9 +265,9 @@ def _epoch_lr(config: TrainConfig, epoch: int) -> float:
     return config.optimizer.lr
 
 
-def _layer_constant(config: TrainConfig, ctx: LipschitzContext) -> float:
-    """Per-batch final-layer constant K of the LALR rate, for either task: the sBQC
-    constant, or ``regression_lipschitz_constant`` under the config's loss."""
+def _layer_constant(config: TrainConfig, ctx: LipschitzContext) -> float | list[float]:
+    """Per-batch final-layer constant K of the LALR rate, for either task (one per head of a
+    per-head context): the sBQC constant, or ``regression_lipschitz_constant`` under the config's loss."""
     if config.task == "classification":
         return sbqc_layer_lipschitz_constant(ctx)
     return regression_lipschitz_constant(ctx, config.loss)
@@ -459,6 +459,17 @@ def _head_losses(
     return np.add.reduce(per_example, axis=1) / m, grad / m
 
 
+def _head_values(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The values of ``_head_losses``, bit for bit; sBQC skips its slope, pdf and gradient."""
+    if config.task != "classification":
+        return _head_losses(config, outputs, y)[0]
+    finite = np.isfinite(outputs).all(axis=(1, 2))
+    values = np.full(len(outputs), np.nan)  # a head whose outputs are not finite scores NaN
+    y = np.broadcast_to(y, outputs.shape[:-1])[finite]
+    values[finite] = sbqc_batch_value(y, outputs[finite, :, 0], config.sbqc_tau)
+    return values
+
+
 def _grid_losses(levels: np.ndarray, reg_weight: float,
                  outputs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-run values and d loss / d outputs for runs of one head per level;
@@ -604,12 +615,12 @@ def _train_adam(
         if not lalr:
             return out, ok | finished, None
         # a run whose loss failed stops before its rate; one whose gradient fails, after
-        rates, k_z = [1.0] * model.heads, trace.head_k_z.tolist()
-        for j in np.flatnonzero(np.repeat(ok & ~finished, L)).tolist():
+        live, k_z = np.flatnonzero(np.repeat(ok & ~finished, L)).tolist(), trace.head_k_z.tolist()
+        ctx = LipschitzContext(m=idx.shape[1], y_norm=[y_norms[fold_of[here[j // L]]] for j in live],
+                               k_z=[k_z[j] for j in live], g_at_zero=g0, tau=[taus[j % L] for j in live])
+        rates = [1.0] * model.heads
+        for j, K in zip(live, _layer_constant(config, ctx)):
             i = here[j // L]
-            ctx = LipschitzContext(m=idx.shape[1], y_norm=y_norms[fold_of[i]], k_z=k_z[j], g_at_zero=g0,
-                                   tau=taus[j % L])
-            K = _layer_constant(config, ctx)
             rates[j] = lalr_lr(K, opt.lr_min, opt.lr_max)
             logs[i].k_trace.append(K)
             logs[i].lr_trace.append(rates[j])
@@ -646,9 +657,9 @@ def _train_adam(
             continue
         oks, outs = [], []
         for a, b, f, model, work in folds:
-            tl, _ = _head_losses(config, predict(model, X_train[f], workspace=work), y_train[f])
+            tl = _head_values(config, predict(model, X_train[f], workspace=work), y_train[f])
             out_val = predict(model, X_val[f], workspace=work)
-            vl, _ = _head_losses(config, out_val, y_val[f])
+            vl = _head_values(config, out_val, y_val[f])
             ok = np.isfinite(tl) & np.isfinite(vl)
             scored = np.flatnonzero(ok & ~done[a:b])
             for j, vm in zip(scored, _head_val_metrics(config, out_val[scored], y_val[f])):
