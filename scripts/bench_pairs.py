@@ -3,18 +3,17 @@
 
 Usage:
     python scripts/bench_pairs.py --parent DIR_A --change DIR_B --workload banknote_lalr \\
-        --seed 0 --seconds 30 [--pairs 10] [--trace 0] [--metrics wall_s,steps_per_s] [--json OUT]
+        --seed 0 --seconds 30 [--pairs 10]
 
 DIR_A and DIR_B are two checkouts (say, the parent commit in a ``git clone``
 and the working tree).  Each pair runs ``perfbench/run.py`` once in each,
-with the same arguments, and the side that runs first alternates from pair
-to pair.  The script prints every run's value of each metric, then per
-metric each side's median and quartiles, how many pairs the change won
-(by the metric's ``better`` direction in ``BENCHMARK.json``; ties count for
-neither side) and whether the gain rule holds: the change wins at least nine
-tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range.  ``--json`` writes every run's full result.
-Standard library only.
+with the same arguments and ``--trace 0``, and the side that runs first
+alternates from pair to pair.  For each end-to-end metric in
+``BENCHMARK.json`` the script prints every run's value, each side's median
+and quartiles, how many pairs the change won (by the metric's ``better``
+direction; ties count for neither side) and whether the gain rule holds: the
+change wins at least nine tenths of the pairs and its median beats the
+parent's by more than the parent's interquartile range.  Standard library only.
 """
 
 import argparse
@@ -31,7 +30,7 @@ def run_once(checkout: Path, args) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its last output line, parsed, whose
     ``metrics`` map each name to {"value", "unit"}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -65,18 +64,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--metrics", help="comma-separated metric names (default: the end-to-end metrics)")
-    ap.add_argument("--json", type=Path, help="write every run's result here")
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"] + bench.get("per_layer", [])}
-    names = args.metrics.split(",") if args.metrics else [m["name"] for m in bench["end_to_end"]]
-    unknown = [n for n in names if n not in better]
-    if unknown:
-        ap.error(f"metrics not in BENCHMARK.json: {', '.join(unknown)}")
+    better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
 
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
@@ -84,14 +76,12 @@ def main(argv=None) -> int:
         for side in order:
             results[side].append(run_once(getattr(args, side), args))
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
-    if args.json:
-        args.json.write_text(json.dumps(results, indent=1))
 
     print(f"{args.workload} seed {args.seed}, {args.seconds:g} s runs, {args.pairs} alternating pairs")
     for side in SIDES:
         flags = [(r.get("correct"), r.get("failed")) for r in results[side]]
         print(f"  {side}: correct {[c for c, _ in flags]}, failed {[f for _, f in flags]}")
-    for name in names:
+    for name in better:
         values = {side: [float(r["metrics"][name]["value"]) for r in results[side]] for side in SIDES}
         verdict = judge(values["parent"], values["change"], better[name])
         print(f"{name} ({'higher' if better[name] else 'lower'} is better)")

@@ -149,12 +149,11 @@ class ModelStack:
     ``params`` holds the heads one after another: head j's slice is laid out
     exactly like its ``MLPModel.params``.  ``weights[l]`` are views of shape
     (heads, fan_in, fan_out), ``biases[l]`` of shape (heads, 1, fan_out) and
-    ``blocks[l]`` of shape (heads, fan_in + 1, fan_out),
-    so ``forward`` and ``backward`` run every head on one shared input batch
-    through the code path of a single network, with outputs and gradients
-    gaining the leading head axis.  ``np.matmul`` runs the same kernel on each
-    head's matrices, so each head's numbers equal its single-network ones bit
-    for bit.
+    ``blocks[l]`` of shape (heads, fan_in + 1, fan_out), so ``forward`` and
+    ``backward`` run every head on one shared input batch through the code
+    path of a single network, with outputs and gradients gaining the leading
+    head axis.  ``np.matmul`` runs the same kernel on each head's matrices, so
+    each head's numbers equal its single-network ones bit for bit.
     """
 
     spec: LayerSpec

@@ -35,8 +35,8 @@ class LipschitzContext:
     ``m`` is the batch size, ``y_norm`` the largest label-row 2-norm seen
     across batches, ``k_z`` the largest penultimate activation magnitude from
     the forward trace, ``g_at_zero`` the output activation at 0, and ``tau``
-    the quantile marker when the classification loss is in play.  ``k_z`` may be a list of one
-    value per head, and ``y_norm`` and ``tau`` with it: the constants then give one K per head.
+    the quantile marker when the classification loss is in play.  ``k_z`` may be a list of one value per
+    head; ``y_norm`` and ``tau`` are then one value or a list as long, and the constants give one K per head.
     """
 
     m: int
@@ -48,6 +48,10 @@ class LipschitzContext:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"batch size must be >= 1, got {self.m}")
+        for name in ("y_norm", "tau"):
+            v = getattr(self, name)
+            if isinstance(v, list) and not (isinstance(self.k_z, list) and len(v) == len(self.k_z)):
+                raise ValueError(f"{name} has {len(v)} entries; a list needs one per entry of a list k_z")
         if min(self._heads("k_z"), default=0.0) < 0:
             raise ValueError(f"k_z must be >= 0, got {min(self._heads('k_z'))}")
         for name in ("y_norm", "k_z", "g_at_zero"):
@@ -67,9 +71,8 @@ def regression_lipschitz_constant(ctx: LipschitzContext, loss: LossSpec = LossSp
     floored at 1e-12.  The absolute value keeps K nonnegative whatever the sign of g(0) - ||y||.
     Each head's K is this scalar formula, with s taken once per distinct ||y|| (one per fold).
     """
-    y_norms = ctx._heads("y_norm")
-    slopes = {y: slope_bound(loss, abs(ctx.g_at_zero - y)) for y in set(y_norms)}
-    ks = [max((1.0 / ctx.m) * slopes[y] * k, K_FLOOR) for y, k in zip(y_norms, ctx._heads("k_z"))]
+    slopes = {y: slope_bound(loss, abs(ctx.g_at_zero - y)) for y in set(ctx._heads("y_norm"))}
+    ks = [max((1.0 / ctx.m) * slopes[y] * k, K_FLOOR) for y, k in zip(ctx._heads("y_norm"), ctx._heads("k_z"))]
     return ks if isinstance(ctx.k_z, list) else ks[0]
 
 
@@ -93,9 +96,8 @@ def sbqc_layer_lipschitz_constant(ctx: LipschitzContext) -> float | list[float]:
     """
     if ctx.tau is None:
         raise ValueError("context has no tau; required for the sBQC constant")
-    taus = ctx._heads("tau")
-    constants = {tau: sbqc_lipschitz_constant(tau) for tau in set(taus)}
-    ks = [max(constants[tau] * k, K_FLOOR) for tau, k in zip(taus, ctx._heads("k_z"))]
+    constants = {tau: sbqc_lipschitz_constant(tau) for tau in set(ctx._heads("tau"))}
+    ks = [max(constants[tau] * k, K_FLOOR) for tau, k in zip(ctx._heads("tau"), ctx._heads("k_z"))]
     return ks if isinstance(ctx.k_z, list) else ks[0]
 
 

@@ -428,46 +428,45 @@ def _train_lbfgs(
     return log.finish(params, diverged_at is not None, ls_failures, diverged_at)
 
 
-def _head_losses(
-    config: TrainConfig, outputs: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head mean batch loss and d loss / d outputs for (heads, m, out) outputs.
-
-    ``y`` is one batch of targets per head or one batch shared by every head
-    (regression targets with their output axis).  Head j's value is the mean
-    over its own row, as ``np.mean`` takes it alone, and the gradient is
-    divided by m, so each head's numbers equal its solo run's.  A head whose
-    outputs are not finite gets the value NaN and a zero gradient, and the
-    other heads are scored in one call.  Non-finite outputs are the one
-    reason a single head's loss raises, so a ValueError of the finite heads
-    (labels outside {0, 1}, non-finite targets) belongs to the batch and
-    propagates.
-    """
-    classification = config.task == "classification"
+def _finite_heads(score: Callable, outputs: np.ndarray, y: np.ndarray, y_shape: tuple):
+    """``score(outputs, y)`` -> (values, grad or None) of the finite heads in one call, ``y`` broadcast to
+    ``y_shape`` to pick theirs; a head with non-finite outputs gets NaN and a zero gradient.  That is the one
+    reason a head's loss raises, so the finite heads' ValueError (a label outside {0, 1}) propagates."""
     finite = np.isfinite(outputs).all(axis=(1, 2))
-    if not finite.all():
-        values, grad = np.full(len(outputs), np.nan), np.zeros_like(outputs)
-        if finite.any():
-            y = np.broadcast_to(y, outputs.shape[:-1] if classification else outputs.shape)
-            values[finite], grad[finite] = _head_losses(config, outputs[finite], y[finite])
-        return values, grad
-    if classification:
-        values, grad = sbqc_batch_loss(y, outputs[..., 0], config.sbqc_tau)
-        return values, grad[..., None]
-    per_example, grad = batch_loss(config.loss, outputs, np.broadcast_to(y, outputs.shape), reduction="none")
-    m = outputs.shape[1]
-    return np.add.reduce(per_example, axis=1) / m, grad / m
+    if finite.all():
+        return score(outputs, y)
+    values, grad = np.full(len(outputs), np.nan), np.zeros_like(outputs)
+    if finite.any():
+        values[finite], g = score(outputs[finite], np.broadcast_to(y, y_shape)[finite])
+        grad[finite] = 0.0 if g is None else g
+    return values, grad
+
+
+def _head_losses(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head mean batch loss and d loss / d outputs for (heads, m, out) outputs (NaN and 0 where
+    ``_finite_heads`` says).  ``y`` is one batch of targets per head or one batch shared by every head
+    (regression targets with their output axis).  Head j's value is the mean over its own row, as
+    ``np.mean`` takes it alone, and the gradient is divided by m, so each head's numbers equal its solo run's.
+    """
+    if config.task == "classification":
+        def score(outputs, y):
+            values, grad = sbqc_batch_loss(y, outputs[..., 0], config.sbqc_tau)
+            return values, grad[..., None]
+        return _finite_heads(score, outputs, y, outputs.shape[:-1])
+
+    def score(outputs, y):
+        per_example, grad = batch_loss(config.loss, outputs, np.broadcast_to(y, outputs.shape), reduction="none")
+        m = outputs.shape[1]
+        return np.add.reduce(per_example, axis=1) / m, grad / m
+    return _finite_heads(score, outputs, y, outputs.shape)
 
 
 def _head_values(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The values of ``_head_losses``, bit for bit; sBQC skips its slope, pdf and gradient."""
     if config.task != "classification":
         return _head_losses(config, outputs, y)[0]
-    finite = np.isfinite(outputs).all(axis=(1, 2))
-    values = np.full(len(outputs), np.nan)  # a head whose outputs are not finite scores NaN
-    y = np.broadcast_to(y, outputs.shape[:-1])[finite]
-    values[finite] = sbqc_batch_value(y, outputs[finite, :, 0], config.sbqc_tau)
-    return values
+    return _finite_heads(lambda outputs, y: (sbqc_batch_value(y, outputs[..., 0], config.sbqc_tau), None),
+                         outputs, y, outputs.shape[:-1])[0]
 
 
 def _grid_losses(levels: np.ndarray, reg_weight: float,

@@ -2,12 +2,14 @@
 
 ``forward`` and ``predict`` take the first layer's bias as the last term of
 its matrix product instead of adding it in a separate pass.  The reference
-here is that separate pass, ``x @ W1`` then ``+ b1``.  With BLAS kernels that
-accumulate the inner dimension in order with fused multiply-adds (OpenBLAS),
-the product's last term ``fma(1, b, acc)`` rounds like ``acc + b``, so at
-the presets' input widths (4, 8 and 11 features) and two rows or more the
-fold is exact.  Elsewhere (one row at an odd width, wide inputs) it may round
-differently, within one rounding of the sum per element.
+here is that separate pass, ``x @ W1`` then ``+ b1``.  On every BLAS the two
+agree within one rounding of the sum per element, (d + 1)·eps·(|x||W| + |b|).
+Bit-identity is a property of the BLAS kernel, not of this code: OpenBLAS
+accumulates the inner dimension in order with fused multiply-adds, so the
+product's last term ``fma(1, b, acc)`` rounds like ``acc + b``, and at the
+presets' input widths (4, 8 and 11 features) and two rows or more the fold
+is exact.  The exact comparisons run only when numpy reports OpenBLAS.
+Elsewhere (one row at an odd width, wide inputs) the bound is all there is.
 """
 
 import numpy as np
@@ -18,6 +20,16 @@ from quantloss.network import LayerSpec, Workspace, forward, init_model, predict
 EPS = np.finfo(float).eps
 
 
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+    except (TypeError, KeyError):  # a numpy without mode="dicts", or no BLAS entry
+        return ""
+
+
+OPENBLAS = "openblas" in _numpy_blas()
+
+
 def _reference_first_layer(model, x):
     """x @ W1 + b1 the way it was taken before the fold: a product, then a bias pass."""
     z = np.matmul(x, model.weights[0])
@@ -25,12 +37,22 @@ def _reference_first_layer(model, x):
     return z
 
 
-def _reference_outputs(model, x, masks):
-    """The network's outputs from the reference first layer, with the trace's dropout masks."""
+def _assert_first_layer(z, model, x, exact):
+    """``z`` is x @ W1 + b1 within one rounding of the sum, and bit for bit if ``exact``."""
+    want = _reference_first_layer(model, x)
+    scale = np.matmul(np.abs(x), np.abs(model.weights[0])) + np.abs(model.biases[0])
+    assert np.all(np.abs(z - want) <= (x.shape[-1] + 1) * EPS * scale)
+    if exact:
+        assert np.array_equal(z, want)
+
+
+def _reference_outputs(model, z1, masks):
+    """The network's outputs from the first layer's pre-activations ``z1``, with the trace's dropout masks."""
     kind = model.spec.activation
-    a = x
+    z = z1
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = _reference_first_layer(model, x) if layer == 0 else np.matmul(a, w) + b
+        if layer > 0:
+            z = np.matmul(a, w) + b
         if layer == len(model.weights) - 1:
             return z
         a = {"relu": lambda v: np.maximum(v, 0.0), "tanh": np.tanh, "identity": lambda v: v}[kind](z)
@@ -57,6 +79,8 @@ SHAPES = [(None, False), (3, False), (3, True)]  # single net; stack on a shared
 
 
 class TestFoldIsExactAtThePresetWidths:
+    """Within the bound on every BLAS; bit for bit when numpy reports OpenBLAS."""
+
     @pytest.mark.parametrize("d", [4, 8, 11])
     @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
@@ -67,8 +91,8 @@ class TestFoldIsExactAtThePresetWidths:
         for m in (2, 3, 64, 65, 300):
             x = _batch(model, m, per_head, seed=m)
             out, trace = forward(model, x, train_mode=dropout > 0, seed=7, workspace=ws)
-            assert np.array_equal(trace.pre_activations[0], _reference_first_layer(model, x))
-            assert np.array_equal(out, _reference_outputs(model, x, trace.dropout_masks))
+            _assert_first_layer(trace.pre_activations[0], model, x, exact=OPENBLAS)
+            assert np.array_equal(out, _reference_outputs(model, trace.pre_activations[0], trace.dropout_masks))
             if dropout == 0.0:
                 assert np.array_equal(predict(model, x, workspace=ws), out)
 
@@ -90,7 +114,7 @@ class TestFoldIsExactAtThePresetWidths:
         model.params[...] += np.random.default_rng(0).normal(size=model.params.shape)
         x = _batch(model, 10, False)
         out, _ = forward(model, x)
-        assert np.array_equal(out, _reference_first_layer(model, x))
+        _assert_first_layer(out, model, x, exact=OPENBLAS)
         assert np.array_equal(predict(model, x), out)
 
 
@@ -101,7 +125,5 @@ class TestFoldIsWithinOneRoundingElsewhere:
         model = _model(d, "relu", 0.0, heads)
         x = _batch(model, m, per_head)
         _, trace = forward(model, x)
-        want = _reference_first_layer(model, x)
-        scale = np.matmul(np.abs(x), np.abs(model.weights[0])) + np.abs(model.biases[0])
-        assert np.all(np.abs(trace.pre_activations[0] - want) <= (d + 1) * EPS * scale)
+        _assert_first_layer(trace.pre_activations[0], model, x, exact=False)
         assert np.array_equal(predict(model, x), forward(model, x)[0])

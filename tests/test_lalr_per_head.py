@@ -197,6 +197,17 @@ class TestPerHeadContexts:
         with pytest.raises(ValueError, match="y_norm must be finite"):
             LipschitzContext(m=8, y_norm=[0.0, np.inf], k_z=[1.0, 1.0])
 
+    @pytest.mark.parametrize("fields, match", [
+        (dict(y_norm=[0.0, 1.0, 2.0], k_z=[1.0, 1.0]), "y_norm has 3 entries"),
+        (dict(y_norm=0.0, k_z=[1.0, 1.0], tau=[0.3]), "tau has 1 entries"),
+        (dict(y_norm=[0.0, 1.0], k_z=1.0), "y_norm has 2 entries"),
+        (dict(y_norm=0.0, k_z=1.0, tau=[0.3]), "tau has 1 entries"),
+    ])
+    def test_a_list_must_match_a_list_k_z(self, fields, match):
+        # the constants zip the lists, so an extra or missing entry would be dropped without a word
+        with pytest.raises(ValueError, match=match):
+            LipschitzContext(m=8, **fields)
+
 
 class TestInvalidKzOfALiveHead:
     @staticmethod
