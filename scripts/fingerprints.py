@@ -25,7 +25,15 @@ cases are:
   under ``lalr-adam`` with each regression loss kind (log-cosh at h = 1 and
   0.7), and the banknote preset under L-BFGS;
 - ``grid``: the pima preset's tau grid trained on the fold plan's pool, its
-  latents on the validation rows and its quantile curve, at seeds 0 and 1.
+  latents on the validation rows and its quantile curve, at seeds 0 and 1;
+- ``single``: every ``SingleRun`` field by name, ``final_params``,
+  ``diverged_at`` and ``line_search_failures`` among them, which no report
+  holds.  One ``train_single`` call trains 2 repeats on each of a preset's
+  first two folds, standardized as ``train()`` does them, cut to 6 epochs,
+  at seeds 0 and 1: the banknote preset under ``lalr-adam`` (one stack
+  across the two folds), the wine L-BFGS preset with ``max_line_search`` 1,
+  whose first step is rejected, and the wine MSE preset under Adam at lr
+  1e100, whose runs diverge.
 """
 
 import argparse
@@ -54,6 +62,18 @@ UNREACHED = [
                    {"kind": "mae"})),
     ("banknote lbfgs", "banknote_sbqc_lalr.json", {"optimizer": {"kind": "lbfgs"}}),
 ]
+
+#: (case name, preset, the sections that replace the preset's) for the ``single`` cases
+SINGLE = [
+    ("banknote lalr-adam", "banknote_sbqc_lalr.json", {}),
+    ("wine lbfgs max_line_search=1", "wine_logcosh_lbfgs.json",
+     {"optimizer": {"kind": "lbfgs", "max_line_search": 1}}),
+    ("wine mse adam lr=1e100", "wine_mse_adam_lr01.json", {"optimizer": {"kind": "adam", "lr": 1e100}}),
+]
+
+#: the fields of a ``SingleRun`` that the ``single`` cases hash, by name
+SINGLE_FIELDS = ("train_loss", "val_loss", "val_metric", "lr_trace", "k_trace", "best_epoch", "best_params",
+                 "final_params", "diverged", "line_search_failures", "diverged_at")
 
 
 def digest(*parts) -> str:
@@ -159,6 +179,24 @@ def unreached_cases():
             yield f"train {name} seed={seed}", train_parts(doc, seed, "1", cut=True)
 
 
+def single_cases():
+    for name, preset, sections in SINGLE:
+        for seed in (0, 1):
+            doc = {**cli.load_config(str(ROOT / "configs" / preset)), **sections}
+            doc["train"].update(epochs=6, seed=seed)
+            ds = cli._resolve_dataset(doc, None)
+            plan = data.stratified_kfold(ds, int(doc["train"]["folds"]), 0.2, seed)
+            splits = []
+            for train_idx, _ in plan.folds[:2]:
+                tr, stats = data.standardize_fit(data.subset(ds, train_idx))
+                val = data.standardize_apply(stats, data.subset(ds, plan.val_idx))
+                splits.append((tr.X, tr.y, val.X, val.y))
+            seeds = [[trainer.derive_seed(seed, fold, repeat) for repeat in range(2)] for fold in range(2)]
+            runs = trainer.train_single(trainer.TrainConfig.from_dict(doc), *map(list, zip(*splits)), seeds)
+            yield f"single {name} seed={seed}", [part for fold_runs in runs for run in fold_runs
+                                                 for field in SINGLE_FIELDS for part in (field, getattr(run, field))]
+
+
 def grid_cases():
     for seed in (0, 1):
         doc = cli.load_config(str(ROOT / "configs" / GRID_PRESET))
@@ -194,7 +232,7 @@ def main(argv=None) -> int:
     names = []
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
-    for cases in (plan_cases(), train_cases(args.full), unreached_cases(), grid_cases()):
+    for cases in (plan_cases(), train_cases(args.full), unreached_cases(), grid_cases(), single_cases()):
         for name, parts in cases:
             print(f"{digest(*parts)}  {name}", flush=True)
             if args.dump:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import quantile_crossing_penalty
-from .network import MLPModel, ModelStack, predict
+from .network import MLPModel, ModelStack, derive_seed, predict
 from .secant_dist import QUARTER_PI, AsymmetricHSD
 
 #: |z| at which e^{-|z|} is held in ``sbqc_loss``; the rest of |z| is added in log space
@@ -132,8 +132,7 @@ class MultiQuantileModel:
 
 def head_seed(seed: int, tau: float) -> int:
     """Deterministic per-head seed keyed by the quantile level."""
-    ss = np.random.SeedSequence([int(seed), int(round(tau * 1e9))])
-    return int(ss.generate_state(1)[0])
+    return derive_seed(seed, round(tau * 1e9))
 
 
 def multi_quantile_train(

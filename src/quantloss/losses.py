@@ -104,11 +104,13 @@ def _batch_value_grad(spec: LossSpec, r: np.ndarray) -> tuple[np.ndarray, np.nda
     if k is LossKind.HUBER:
         d = spec.delta
         small = np.abs(r) <= d
-        value = np.where(small, 0.5 * r * r, d * (np.abs(r) - 0.5 * d))
+        rk = np.where(small, r, 0.0)  # square only the kept rows: a discarded one may overflow
+        value = np.where(small, 0.5 * rk * rk, d * (np.abs(r) - 0.5 * d))
         grad = np.where(small, r, d * np.sign(r))
         return value, grad
     if k is LossKind.MSE:
-        return r * r, 2.0 * r
+        with np.errstate(over="ignore"):  # past |r| ~ 1.3e154 the square is past the float range: inf
+            return r * r, 2.0 * r
     if k is LossKind.MAE:
         return np.abs(r), np.sign(r)
     raise ValueError(f"unknown loss kind {k!r}")
@@ -206,7 +208,10 @@ def batch_loss(spec: LossSpec, predictions, targets, reduction: str = "mean"):
     With ``reduction="mean"`` returns (scalar mean-over-examples loss,
     gradient array shaped like predictions, already divided by m).  With
     ``reduction="none"`` returns (per-example loss array, per-element gradient
-    without the 1/m factor).
+    without the 1/m factor).  Every kind but MSE is finite at any finite
+    residual; MSE's value is inf, with no warning, once a residual's square
+    (|r| above about 1.3e154), or the batch's sum of squares, passes the
+    float range.
     """
     p = np.asarray(predictions, dtype=float)
     t = np.asarray(targets, dtype=float)
@@ -217,10 +222,11 @@ def batch_loss(spec: LossSpec, predictions, targets, reduction: str = "mean"):
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
         raise ValueError("non-finite predictions or targets")
     value, grad = _batch_value_grad(spec, p - t)
-    per_example = value if value.ndim == 1 else value.sum(axis=-1)
-    if reduction == "none":
-        return per_example, grad
-    if reduction == "mean":
-        m = per_example.shape[0]
-        return float(per_example.mean()), grad / m
+    with np.errstate(over="ignore"):  # a sum of finite MSE values may pass the float range too: inf
+        per_example = value if value.ndim == 1 else value.sum(axis=-1)
+        if reduction == "none":
+            return per_example, grad
+        if reduction == "mean":
+            m = per_example.shape[0]
+            return float(per_example.mean()), grad / m
     raise ValueError(f"unknown reduction {reduction!r}")

@@ -316,6 +316,11 @@ class Workspace:
             raise ValueError("workspace was built for a different network shape")
 
 
+def derive_seed(*parts: int) -> int:
+    """One initialisation seed from integer parts: a (seed, fold, repeat) run, or a (seed, level) head."""
+    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+
+
 def init_model(spec: LayerSpec, seed: int) -> MLPModel:
     """Fan-in-scaled uniform weights (bound sqrt(6/fan_in)), zero biases."""
     rng = np.random.default_rng(seed)

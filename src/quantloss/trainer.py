@@ -24,6 +24,7 @@ from .network import (
     Workspace,
     activation_at_zero,
     backward,
+    derive_seed,
     flatten_params,
     forward,
     init_model,
@@ -46,7 +47,8 @@ from .optim import (
 
 LR_POLICIES = ("constant", "exponential", "lalr")
 OPTIMIZER_KINDS = ("adam", "lalr-adam", "lbfgs")
-_LALR_ADAM_POLICY_ERROR = "optimizer.kind 'lalr-adam' sets its own rate: train.lr_policy must be 'lalr', got {!r}"
+#: the one rate policy of each optimizer that sets its own rate; any other takes any policy, "constant" if unset
+_OWN_POLICY = {"lalr-adam": "lalr", "lbfgs": "constant"}
 
 #: decay rate of the exponential comparator schedule lr(epoch) = lr0 e^(-RATE epoch)
 EXP_DECAY_RATE = 1e-4
@@ -71,10 +73,6 @@ def _usable_cpus() -> int:
 def _pool_size(n_jobs: int) -> int:
     """Worker processes for n_jobs jobs: never more than the usable CPUs."""
     return min(worker_count(), _usable_cpus(), n_jobs)
-
-
-def derive_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        kind = self.optimizer.kind
         if self.lr_policy is None:
-            object.__setattr__(self, "lr_policy", "lalr" if self.optimizer.kind == "lalr-adam" else "constant")
+            object.__setattr__(self, "lr_policy", _OWN_POLICY.get(kind, "constant"))
         if self.task not in ("regression", "classification"):
             raise ValueError(f"task must be regression or classification, got {self.task!r}")
         if self.epochs < 1:
@@ -140,10 +139,9 @@ class TrainConfig:
             raise ValueError("regression config needs a loss spec")
         if not 0.0 < self.sbqc_tau < 1.0:
             raise ValueError(f"sbqc tau must be inside (0, 1), got {self.sbqc_tau}")
-        if self.optimizer.kind == "lbfgs" and self.lr_policy == "lalr":
-            raise ValueError("lbfgs owns its step size; lalr policy does not apply")
-        if self.optimizer.kind == "lalr-adam" and self.lr_policy != "lalr":
-            raise ValueError(_LALR_ADAM_POLICY_ERROR.format(self.lr_policy))
+        if kind in _OWN_POLICY and self.lr_policy != _OWN_POLICY[kind]:
+            raise ValueError(f"optimizer.kind {kind!r} sets its own rate: "
+                             f"train.lr_policy must be {_OWN_POLICY[kind]!r}, got {self.lr_policy!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -191,20 +189,46 @@ class TrainConfig:
 
 @dataclass
 class SingleRun:
-    """Trace of one model trained on one (train, validation) split."""
+    """One model trained on one (train, validation) split, from ``start`` through each epoch's
+    ``record`` to ``finish``: its traces, its best-validation epoch and how it ended."""
 
     train_loss: list[float]
     val_loss: list[float]
     val_metric: list[float]      # accuracy (classification) or rmse (regression)
     lr_trace: list[float] | None
     k_trace: list[float] | None
+    higher_better: bool          # the direction of the task's BEST_METRIC
+    best_metric: float
     best_epoch: int
-    best_params: np.ndarray
-    final_params: np.ndarray
+    best_params: np.ndarray | None = field(repr=False, compare=False)
+    final_params: np.ndarray | None = field(repr=False, compare=False)
     diverged: bool
     line_search_failures: int = 0
     #: (epoch, head) where a run diverged; head is a tau-grid level's index, else 0
     diverged_at: tuple[int, int] | None = None
+
+    @classmethod
+    def start(cls, higher_better: bool, lalr: bool) -> "SingleRun":
+        """A run with no epoch recorded; it traces its LALR rates and constants if ``lalr``."""
+        return cls([], [], [], [] if lalr else None, [] if lalr else None, higher_better,
+                   -math.inf if higher_better else math.inf, -1, None, None, False)
+
+    def record(self, tl: float, vl: float, vm: float, params: np.ndarray) -> None:
+        """Append one epoch; keep a copy of ``params`` if its metric is the best yet."""
+        self.train_loss.append(tl)
+        self.val_loss.append(vl)
+        self.val_metric.append(vm)
+        if (vm > self.best_metric) if self.higher_better else (vm < self.best_metric):
+            self.best_metric = vm
+            self.best_epoch = len(self.val_metric) - 1
+            self.best_params = params.copy()
+
+    def finish(self, params: np.ndarray, diverged: bool) -> "SingleRun":
+        """End the run at ``params``; with no epoch recorded, they are its best."""
+        if self.best_epoch < 0:
+            self.best_epoch, self.best_params = 0, params.copy()
+        self.final_params, self.diverged = params, diverged
+        return self
 
 
 def _layer_spec(config: TrainConfig, input_dim: int, output_dim: int) -> LayerSpec:
@@ -273,40 +297,6 @@ def _layer_constant(config: TrainConfig, ctx: LipschitzContext) -> float | list[
     return regression_lipschitz_constant(ctx, config.loss)
 
 
-class _RunLog:
-    """One run's epoch traces and its best-validation epoch, while it trains."""
-
-    def __init__(self, higher_better: bool, lalr: bool):
-        self.higher_better = higher_better
-        self.train_loss: list[float] = []
-        self.val_loss: list[float] = []
-        self.val_metric: list[float] = []
-        self.lr_trace: list[float] | None = [] if lalr else None
-        self.k_trace: list[float] | None = [] if lalr else None
-        self.best_metric = -math.inf if higher_better else math.inf
-        self.best_epoch = -1
-        self.best_params: np.ndarray | None = None
-
-    def record(self, tl: float, vl: float, vm: float, params: np.ndarray) -> None:
-        """Append one epoch; keep a copy of ``params`` if its metric is the best yet."""
-        self.train_loss.append(tl)
-        self.val_loss.append(vl)
-        self.val_metric.append(vm)
-        if (vm > self.best_metric) if self.higher_better else (vm < self.best_metric):
-            self.best_metric = vm
-            self.best_epoch = len(self.val_metric) - 1
-            self.best_params = params.copy()
-
-    def finish(self, params: np.ndarray, diverged: bool, line_search_failures: int = 0,
-               diverged_at: tuple[int, int] | None = None) -> SingleRun:
-        """The run's record, ending at ``params``; with no epoch recorded, they are its best."""
-        best_epoch, best_params = self.best_epoch, self.best_params
-        if best_epoch < 0:
-            best_epoch, best_params = 0, params.copy()
-        return SingleRun(self.train_loss, self.val_loss, self.val_metric, self.lr_trace, self.k_trace,
-                         best_epoch, best_params, params, diverged, line_search_failures, diverged_at)
-
-
 def train_single(
     config: TrainConfig,
     X_train: np.ndarray,
@@ -371,7 +361,7 @@ def _train_lbfgs(
     """Full-batch L-BFGS for one run; each accepted or rejected step is an epoch."""
     model = init_model(spec, seed)
     ws = Workspace(spec)
-    log = _RunLog(BEST_METRIC[config.task][1], lalr=False)
+    run = SingleRun.start(BEST_METRIC[config.task][1], lalr=False)
 
     def evaluate_epoch(p: np.ndarray, tl: float) -> bool:
         """Record the epoch at ``p``, whose training loss is ``tl``; False when
@@ -387,7 +377,7 @@ def _train_lbfgs(
         vl, _ = _loss_and_pred_grad(config, out_val, y_val)
         if not math.isfinite(float(vl)):
             return False
-        log.record(tl, float(vl), _val_metric(config, out_val, y_val), p)
+        run.record(tl, float(vl), _val_metric(config, out_val, y_val), p)
         return True
 
     # params stays the line search's own vector: lbfgs_step keeps x0 and
@@ -406,8 +396,6 @@ def _train_lbfgs(
     params = flatten_params(model)
     mem = LBFGSMemory(m_hist=config.optimizer.m_hist)
     cached = objective(params)
-    diverged_at = None
-    ls_failures = 0
     for epoch in range(config.epochs):
         had_memory = len(mem) > 0
         step = lbfgs_step(
@@ -417,15 +405,15 @@ def _train_lbfgs(
         )
         # step.value is the full training loss at the returned params;
         # a rejected step returns the unchanged params and their value
-        ls_failures += not step.accepted
+        run.line_search_failures += not step.accepted
         params, cached = step.params, (step.value, step.grad)
         if not evaluate_epoch(params, step.value):
-            diverged_at = (epoch, 0)
+            run.diverged_at = (epoch, 0)
             break
         if not (step.accepted or had_memory):
             # even the steepest-descent fallback cannot improve; converged
             break
-    return log.finish(params, diverged_at is not None, ls_failures, diverged_at)
+    return run.finish(params, run.diverged_at is not None)
 
 
 def _finite_heads(score: Callable, outputs: np.ndarray, y: np.ndarray, y_shape: tuple):
@@ -555,8 +543,7 @@ def _train_adam(
         taus, loss = list(levels), partial(_grid_losses, np.array(levels), reg_weight)
         init_seeds = [head_seed(s, t) for s in seeds for t in levels]
     L = len(taus)  # heads per run
-    logs = [_RunLog(BEST_METRIC[config.task][1], lalr) for _ in seeds]
-    runs: list[SingleRun | None] = [None] * len(seeds)
+    runs = [SingleRun.start(BEST_METRIC[config.task][1], lalr) for _ in seeds]
     batch_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xBA7C4])) for s in seeds]
     mask_rngs = [np.random.default_rng(np.random.SeedSequence([s, 0xD809])) for s in init_seeds]
 
@@ -592,7 +579,8 @@ def _train_adam(
                   & np.isfinite(ws.grad.reshape(stack.heads, -1)).all(axis=1))
         culprit = np.argmin(finite.reshape(len(pos), L), axis=1)
         for j in np.flatnonzero(failed):
-            runs[pos[j]] = logs[pos[j]].finish(params[j].copy(), True, diverged_at=(epoch, int(culprit[j])))
+            runs[pos[j]].diverged_at = (epoch, int(culprit[j]))
+            runs[pos[j]].finish(params[j].copy(), True)
         done[failed] = True
         grads[failed] = moments[failed] = 0.0
         return done.all()
@@ -621,8 +609,8 @@ def _train_adam(
         for j, K in zip(live, _layer_constant(config, ctx)):
             i = here[j // L]
             rates[j] = lalr_lr(K, opt.lr_min, opt.lr_max)
-            logs[i].k_trace.append(K)
-            logs[i].lr_trace.append(rates[j])
+            runs[i].k_trace.append(K)
+            runs[i].lr_trace.append(rates[j])
         return out, ok | finished, rates
 
     for epoch in range(config.epochs):
@@ -662,7 +650,7 @@ def _train_adam(
             ok = np.isfinite(tl) & np.isfinite(vl)
             scored = np.flatnonzero(ok & ~done[a:b])
             for j, vm in zip(scored, _head_val_metrics(config, out_val[scored], y_val[f])):
-                logs[pos[a + j]].record(float(tl[j]), float(vl[j]), vm, params[a + j])
+                runs[pos[a + j]].record(float(tl[j]), float(vl[j]), vm, params[a + j])
             oks.append(ok | done[a:b])
             outs.append(out_val)
         ok = np.concatenate(oks)
@@ -670,30 +658,27 @@ def _train_adam(
             return runs
 
     for j in np.flatnonzero(~done):
-        runs[pos[j]] = logs[pos[j]].finish(params[j].copy(), diverged=False)
+        runs[pos[j]].finish(params[j].copy(), diverged=False)
     return runs
 
 
-@dataclass
-class RunRecord:
+@dataclass(kw_only=True)
+class RunRecord(SingleRun):
+    """A ``train()`` run with its place in the protocol and its scores at the best epoch."""
+
     fold: int
     repeat: int
-    diverged: bool
-    best_epoch: int
-    train_loss: list[float]
-    val_loss: list[float]
-    val_metric: list[float]
-    lr_trace: list[float] | None
-    k_trace: list[float] | None
     test_metrics: dict[str, float]
     val_metrics: dict[str, float]
-    best_params: np.ndarray | None = field(default=None, repr=False, compare=False)
     #: the standardizer fitted on the fold's training split
-    standardizer: StandardizeStats | None = field(default=None, repr=False, compare=False)
+    standardizer: StandardizeStats | None = field(repr=False, compare=False)
+
+    #: the fields ``report.json`` holds of each run
+    REPORTED = ("fold", "repeat", "diverged", "best_epoch", "train_loss", "val_loss", "val_metric",
+                "lr_trace", "k_trace", "test_metrics", "val_metrics")
 
     def to_dict(self) -> dict:
-        """Every field but the parameters and the standardizer."""
-        return {k: v for k, v in vars(self).items() if k not in ("best_params", "standardizer")}
+        return {k: getattr(self, k) for k in self.REPORTED}
 
 
 @dataclass
@@ -783,19 +768,10 @@ def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple) -> list[R
             else:
                 test_m = _metrics_for(config, run.best_params, spec, te_std.X, te_std.y)
                 val_m = _metrics_for(config, run.best_params, spec, val_std.X, val_std.y)
-            records.append(RunRecord(
-                fold=fold, repeat=repeat, diverged=run.diverged, best_epoch=run.best_epoch,
-                train_loss=run.train_loss, val_loss=run.val_loss, val_metric=run.val_metric,
-                lr_trace=run.lr_trace, k_trace=run.k_trace,
-                test_metrics=test_m, val_metrics=val_m, best_params=run.best_params,
-                standardizer=stats,
-            ))
+            # a record crosses the process boundary, and the report needs only the best parameters
+            records.append(RunRecord(**{**vars(run), "final_params": None}, fold=fold, repeat=repeat,
+                                     test_metrics=test_m, val_metrics=val_m, standardizer=stats))
     return records
-
-
-def _run_job(job: tuple[int, tuple[int, ...]], inputs: tuple) -> list[RunRecord]:
-    """``_run_bin`` of one piece, a fold's contiguous repeats."""
-    return _run_bin([job], inputs)
 
 
 def _jobs(config: TrainConfig, n_folds: int) -> list[list[tuple[int, tuple[int, ...]]]]:

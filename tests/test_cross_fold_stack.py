@@ -215,7 +215,7 @@ class TestBins:
                              optimizer=OptimizerSpec(kind="lalr-adam"), epochs=3, batch_size=16, repeats=3)
         inputs = trainer._job_inputs(config, plan, ds)
         pieces = [(0, (1, 2)), (1, (0, 1, 2)), (2, (0,))]
-        apart = [rec for piece in pieces for rec in trainer._run_job(piece, inputs)]
+        apart = [rec for piece in pieces for rec in trainer._run_bin([piece], inputs)]
         calls = []
         original = trainer.train_single
         monkeypatch.setattr(trainer, "train_single", lambda *a: calls.append(a) or original(*a))

@@ -80,7 +80,7 @@ def _reference_run(config, X, y, Xv, yv, seed) -> SingleRun:
     spec = trainer._layer_spec(config, X.shape[1], out_dim)
     model = init_model(spec, seed)
     ws = Workspace(spec)
-    log = trainer._RunLog(config.task == "classification", config.lr_policy == "lalr")
+    log = SingleRun.start(config.task == "classification", config.lr_policy == "lalr")
     y2 = y if y.ndim == 2 else y.reshape(-1, 1)
     y_norm = float(np.max(np.linalg.norm(y2, axis=1))) if config.task == "regression" else 0.0
     state = AdamState.zeros(model.params.size, config.optimizer.beta1, config.optimizer.beta2)
@@ -364,8 +364,8 @@ class TestJobs:
         config = TrainConfig(task="classification", hidden_sizes=(8,), dropout=0.2,
                              optimizer=OptimizerSpec(kind="lalr-adam"), epochs=3, batch_size=32, repeats=3)
         inputs = trainer._job_inputs(config, plan, ds)
-        whole = trainer._run_job((1, (0, 1, 2)), inputs)
-        split = trainer._run_job((1, (0,)), inputs) + trainer._run_job((1, (1, 2)), inputs)
+        whole = trainer._run_bin([(1, (0, 1, 2))], inputs)
+        split = trainer._run_bin([(1, (0,))], inputs) + trainer._run_bin([(1, (1, 2))], inputs)
         assert [r.to_dict() for r in whole] == [r.to_dict() for r in split]
         assert all(np.array_equal(a.best_params, b.best_params) for a, b in zip(whole, split))
 
