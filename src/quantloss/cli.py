@@ -8,13 +8,13 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
-from . import synthetic, verify
+from . import synthetic
 from .classify import curve_to_csv, curve_to_json, multi_quantile_train, quantile_curve
 from .data import load_csv, standardize_fit, stratified_kfold
 from .network import forward, init_model, load_checkpoint, predict, save_checkpoint
@@ -35,13 +35,75 @@ def load_config(path: str) -> dict:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise CliError(f"config {path} is not valid JSON: {e}") from e
+    bad = _first_non_finite(doc)
+    if bad is not None:
+        where, x = bad
+        raise CliError(f"config {path}: field {_field(where)}: {json.dumps(x)} is not a finite number")
     schema = json.loads(importlib.resources.files("quantloss").joinpath("config_schema.json").read_text())
-    # jsonschema.validate's error, less its check of the schema itself, which the tests make once
+    if _valid(doc, schema):
+        return doc
+    # jsonschema decides every rejection and words its error; importing it costs ~0.1 s of
+    # start-up, so a valid config never pays it.
+    import jsonschema
     e = jsonschema.exceptions.best_match(jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
     if e is not None:
-        where = "/".join(str(k) for k in e.absolute_path) or "(top level)"
-        raise CliError(f"config {path}: field {where}: {e.message}") from e
+        raise CliError(f"config {path}: field {_field(e.absolute_path)}: {e.message}") from e
     return doc
+
+
+def _field(where) -> str:
+    return "/".join(str(k) for k in where) or "(top level)"
+
+
+def _first_non_finite(doc, where: tuple = ()):
+    """(path, value) of the first NaN or ±Infinity in ``doc``, in document order, or None.
+    ``json.loads`` accepts them, and every range check passes NaN."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return where, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        bad = _first_non_finite(v, (*where, k))
+        if bad is not None:
+            return bad
+    return None
+
+
+def _is_type(x, name: str) -> bool:
+    """JSON Schema's type rules: a bool is no number, and an integral float is an integer."""
+    if name in ("number", "integer"):
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and (name == "number" or isinstance(x, int) or x.is_integer()))
+    return isinstance(x, {"object": dict, "array": list, "string": str, "boolean": bool}[name])
+
+
+def _valid(doc, schema: dict) -> bool:
+    """Whether ``doc`` satisfies ``schema``, read through the keywords config_schema.json uses:
+    type, enum (scalars, compared by type and value), required, properties,
+    additionalProperties (false only), items, minItems, minimum, exclusiveMinimum,
+    exclusiveMaximum, minLength, maxLength, anyOf and not."""
+    s = schema
+    types = s.get("type", ())
+    if types and not any(_is_type(doc, t) for t in ([types] if isinstance(types, str) else types)):
+        return False
+    if "enum" in s and not any(doc == e and isinstance(doc, bool) == isinstance(e, bool) for e in s["enum"]):
+        return False
+    if "anyOf" in s and not any(_valid(doc, sub) for sub in s["anyOf"]):
+        return False
+    if "not" in s and _valid(doc, s["not"]):
+        return False
+    if isinstance(doc, dict):
+        props = s.get("properties", {})
+        return (all(k in doc for k in s.get("required", ()))
+                and (s.get("additionalProperties") is not False or all(k in props for k in doc))
+                and all(_valid(v, props[k]) for k, v in doc.items() if k in props))
+    if isinstance(doc, list):
+        return len(doc) >= s.get("minItems", 0) and all(_valid(v, s.get("items", {})) for v in doc)
+    if isinstance(doc, str):
+        return s.get("minLength", 0) <= len(doc) <= s.get("maxLength", len(doc))
+    if _is_type(doc, "number"):
+        return (doc >= s.get("minimum", doc) and doc > s.get("exclusiveMinimum", -math.inf)
+                and doc < s.get("exclusiveMaximum", math.inf))
+    return True
 
 
 def _resolve_dataset(doc: dict, dataset_override: str | None):
@@ -140,6 +202,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import verify
     results = [
         verify.check_loss_gradients(args.seed),
         verify.check_sbqc_gradients(args.seed),
@@ -222,6 +285,7 @@ def cmd_quantiles(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     results = verify.run_all(seed=args.seed)
     _print_results(results)
     bad = verify.violations(results, strict=args.strict)
