@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import quantile_crossing_penalty
-from .network import MLPModel, ModelStack, derive_seed, predict
+from .network import MLPModel, ModelStack, derive_seed, predict, stack_models
 from .secant_dist import QUARTER_PI, AsymmetricHSD
 
 #: |z| at which e^{-|z|} is held in ``sbqc_loss``; the rest of |z| is added in log space
@@ -126,8 +126,13 @@ class MultiQuantileModel:
 
     def latents(self, X: np.ndarray) -> np.ndarray:
         """Q_x(tau_p) matrix, rows = examples, columns = ascending grid levels."""
-        cols = [predict(m, X)[:, 0] for m in self.models]
-        return np.column_stack(cols)
+        return _latent_matrix(stack_models(self.models), X)
+
+
+def _latent_matrix(stack: ModelStack, X: np.ndarray) -> np.ndarray:
+    """Each head's latents on X as one column, in a C-ordered matrix: the order the crossing
+    penalty sums in, so its value is the same bit for bit for any way the columns were made."""
+    return np.ascontiguousarray(predict(stack, X)[..., 0].T)
 
 
 def head_seed(seed: int, tau: float) -> int:
@@ -156,12 +161,12 @@ def multi_quantile_train(
     reg_weight = 0 the heads decouple and the result is identical to training
     each level separately with the same seeds.  The grid trains as one run of
     the trainer's Adam loop, with no validation split, and its final heads
-    are returned.  A ``TrainConfig`` as ``config`` sets the network, the
-    optimizer (L-BFGS is refused: the grid has no line search), the lr
-    policy, dropout, epochs, batch size and seed in place of the other
-    arguments.  ``penalty_history`` receives the crossing penalty on X after
-    each epoch.  A diverging head raises a ValueError naming its level and
-    epoch.
+    are returned.  A classification ``TrainConfig`` as ``config`` (another
+    task is refused) sets the network, the optimizer (L-BFGS is refused: the
+    grid has no line search), the lr policy, dropout, epochs, batch size and
+    seed in place of the other arguments.  ``penalty_history`` receives the
+    crossing penalty on X after each epoch.  A diverging head raises a
+    ValueError naming its level and epoch.
     """
     from .trainer import OptimizerSpec, TrainConfig, _layer_spec, _train_adam  # trainer imports this module
 
@@ -173,12 +178,13 @@ def multi_quantile_train(
     if config is None:
         config = TrainConfig(task="classification", hidden_sizes=tuple(hidden_sizes), activation=activation,
                              optimizer=OptimizerSpec(lr=lr), epochs=epochs, batch_size=batch_size, seed=seed)
+    if config.task != "classification":
+        raise ValueError(f"task {config.task!r} cannot train a tau grid, whose heads classify binary labels")
     if config.optimizer.kind == "lbfgs":
         raise ValueError("optimizer.kind 'lbfgs' cannot train a tau grid, which has no line search")
 
     def record_penalty(stack) -> None:
-        latents = MultiQuantileModel(taus, stack.unstack()).latents(X)
-        penalty_history.append(quantile_crossing_penalty(latents))
+        penalty_history.append(quantile_crossing_penalty(_latent_matrix(stack, X)))
 
     spec = _layer_spec(config, X.shape[1], 1)
     (run,) = _train_adam(config, spec, X, y, None, None, [config.seed], taus, reg_weight,

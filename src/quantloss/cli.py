@@ -16,7 +16,7 @@ import numpy as np
 
 from . import synthetic
 from .classify import curve_to_csv, curve_to_json, multi_quantile_train, quantile_curve
-from .data import load_csv, standardize_fit, stratified_kfold
+from .data import StandardizeStats, load_csv, standardize_apply, standardize_fit, stratified_kfold
 from .network import forward, init_model, load_checkpoint, predict, save_checkpoint
 from .optim import LipschitzContext, lalr_lr, sbqc_lipschitz_constant
 from .trainer import (TrainConfig, _check_threshold_metric, _layer_constant, _layer_spec, _score,
@@ -184,15 +184,14 @@ def cmd_eval(args) -> int:
             raise CliError(f"standardizer file not found: {std_path}")
     else:
         std_path = Path(args.checkpoint).parent / "standardizer.json"
-    X = ds.X
     if std_path.exists():
         std = json.loads(std_path.read_text())
         mean, scale = np.asarray(std["mean"], dtype=float), np.asarray(std["scale"], dtype=float)
-        if mean.shape != (X.shape[1],) or scale.shape != (X.shape[1],):
+        if mean.shape != (ds.X.shape[1],) or scale.shape != (ds.X.shape[1],):
             raise CliError(f"standardizer {std_path} has mean/scale shapes {mean.shape}/{scale.shape}, "
-                           f"but the dataset has {X.shape[1]} features")
-        X = (X - mean) / scale
-    m = _score(ds.task, args.tau, predict(model, X), ds.y)
+                           f"but the dataset has {ds.X.shape[1]} features")
+        ds = standardize_apply(StandardizeStats(mean, scale, ()), ds)
+    m = _score(ds.task, args.tau, predict(model, ds.X), ds.y)
     for k, v in sorted(m.items()):
         print(f"{k}: {v:.6f}")
     if args.out:
@@ -255,9 +254,14 @@ def cmd_quantiles(args) -> int:
     if not 0 <= args.feature < n_features:
         raise CliError(f"--feature {args.feature} is out of range: the dataset has {n_features} "
                        f"features, so it must lie in [0, {n_features - 1}]")
+    if args.sweep_points < 1:
+        raise CliError(f"--sweep-points must be at least 1, got {args.sweep_points}")
     sbqc = doc.get("sbqc", {})
     if args.tau_grid:
-        grid = [float(t) for t in args.tau_grid.split(",")]
+        try:
+            grid = [float(t) for t in args.tau_grid.split(",")]
+        except ValueError as e:
+            raise CliError(f"--tau-grid {args.tau_grid!r} is not a comma list of numbers: {e}") from e
     else:
         grid = sbqc.get("tau_grid", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     train_cfg = doc.setdefault("train", {})
@@ -370,10 +374,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as e:
+    except (CliError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure

@@ -394,14 +394,11 @@ def forward(
     workspace = workspace or Workspace(model.spec, heads)
     workspace._check(model)
     pre_bufs, act_bufs, mask_bufs, (x1,) = workspace._forward.get(x.shape[-2])
-    rng = head_rngs = None
-    if train_mode and np.ndim(seed) == 0:
-        rng = np.random.default_rng(seed)
-    elif train_mode:
-        if heads is None or len(seed) != heads:
-            expected = "one seed" if heads is None else f"one seed or {heads}, one per head"
-            raise ValueError(f"dropout needs {expected}, got {len(seed)} seeds")
-        head_rngs = [np.random.default_rng(s) for s in seed]
+    per_head = np.ndim(seed) > 0
+    if train_mode and per_head and (heads is None or len(seed) != heads):
+        expected = "one seed" if heads is None else f"one seed or {heads}, one per head"
+        raise ValueError(f"dropout needs {expected}, got {len(seed)} seeds")
+    rngs = [np.random.default_rng(s) for s in (seed if per_head else [seed])] if train_mode else []
     kind = model.spec.activation
     last = len(model.weights) - 1
     pre, acts, masks = [], [x], []
@@ -417,11 +414,8 @@ def forward(
             p = model.spec.dropout[layer]
             if train_mode and p > 0.0:
                 mask = mask_bufs[layer]
-                if rng is not None:
-                    rng.random(out=mask)
-                else:
-                    for head_rng, head_mask in zip(head_rngs, mask):
-                        head_rng.random(out=head_mask)
+                for rng, part in zip(rngs, mask if per_head else [mask]):
+                    rng.random(out=part)
                 np.greater_equal(mask, p, out=mask)
                 mask /= 1.0 - p
                 a = np.multiply(a, mask, out=act_bufs[layer])

@@ -627,14 +627,8 @@ def _train_adam(
             if lalr:
                 lr = [r for part in part_rates for r in part]
             grads[done] = 0.0
-            if ok.all():
-                try:  # adam_step checks the gradient first and writes nothing when it is not finite
-                    adam_step(state, stack.params, ws.grad, lr)
-                    continue
-                except ValueError:
-                    if np.isfinite(ws.grad).all():
-                        raise
-            if finish(~(ok & np.isfinite(grads).all(axis=1)), epoch, outs):
+            failed = ~(ok & np.isfinite(grads).all(axis=1))
+            if failed.any() and finish(failed, epoch, outs):
                 return runs
             adam_step(state, stack.params, ws.grad, lr)
 
@@ -727,9 +721,7 @@ class RunReport:
 
 
 def _metrics_for(config: TrainConfig, model_params, spec, X, y) -> dict[str, float]:
-    model = init_model(spec, 0)
-    set_flat_params(model, model_params)
-    return _score(config.task, config.sbqc_tau, predict(model, X), y)
+    return _score(config.task, config.sbqc_tau, predict(ModelStack(spec, (0,), model_params), X)[0], y)
 
 
 def _job_inputs(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> tuple:
@@ -889,9 +881,9 @@ def train(config: TrainConfig, fold_plan: FoldPlan, dataset: Dataset) -> RunRepo
         key=lambda rec: rec.val_metrics[key] if higher else -rec.val_metrics[key],
         default=None,
     )
-    if best_rec is not None and best_rec.best_params is not None:
-        best_model = init_model(inputs[-1], derive_seed(config.seed, best_rec.fold, best_rec.repeat))
-        set_flat_params(best_model, best_rec.best_params)
+    if best_rec is not None:
+        seed = derive_seed(config.seed, best_rec.fold, best_rec.repeat)
+        (best_model,) = ModelStack(inputs[-1], (seed,), best_rec.best_params).unstack()
         best_stats = best_rec.standardizer
 
     return RunReport(
