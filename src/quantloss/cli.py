@@ -27,27 +27,38 @@ class CliError(Exception):
     """Validation failure; maps to exit code 1."""
 
 
+#: the standardizer file ``train`` writes beside its checkpoint; ``standardize_fit`` floors each scale above 0
+_STANDARDIZER_SCHEMA = {"type": "object", "required": ["mean", "scale"], "properties": {
+    "mean": {"type": "array", "items": {"type": "number"}},
+    "scale": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}}}}
+
+
 def load_config(path: str) -> dict:
+    schema = json.loads(importlib.resources.files("quantloss").joinpath("config_schema.json").read_text())
+    return _load_checked(path, schema, "config")
+
+
+def _load_checked(path, schema: dict, what: str):
+    """The JSON document at ``path`` if ``schema`` accepts it; else a CliError naming file and field."""
     p = Path(path)
     if not p.exists():
-        raise CliError(f"config file not found: {path}")
+        raise CliError(f"{what} file not found: {path}")
     try:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
-        raise CliError(f"config {path} is not valid JSON: {e}") from e
+        raise CliError(f"{what} {path} is not valid JSON: {e}") from e
     bad = _first_non_finite(doc)
     if bad is not None:
         where, x = bad
-        raise CliError(f"config {path}: field {_field(where)}: {json.dumps(x)} is not a finite number")
-    schema = json.loads(importlib.resources.files("quantloss").joinpath("config_schema.json").read_text())
+        raise CliError(f"{what} {path}: field {_field(where)}: {json.dumps(x)} is not a finite number")
     if _valid(doc, schema):
         return doc
     # jsonschema decides every rejection and words its error; importing it costs ~0.1 s of
-    # start-up, so a valid config never pays it.
+    # start-up, so a valid file never pays it.
     import jsonschema
     e = jsonschema.exceptions.best_match(jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
     if e is not None:
-        raise CliError(f"config {path}: field {_field(e.absolute_path)}: {e.message}") from e
+        raise CliError(f"{what} {path}: field {_field(e.absolute_path)}: {e.message}") from e
     return doc
 
 
@@ -178,14 +189,9 @@ def cmd_eval(args) -> int:
     if ds.X.shape[1] != model.spec.input_dim:
         raise CliError(f"dataset {args.dataset} has {ds.X.shape[1]} features, but checkpoint "
                        f"{args.checkpoint} takes {model.spec.input_dim} inputs")
-    if args.standardizer:
-        std_path = Path(args.standardizer)
-        if not std_path.exists():
-            raise CliError(f"standardizer file not found: {std_path}")
-    else:
-        std_path = Path(args.checkpoint).parent / "standardizer.json"
-    if std_path.exists():
-        std = json.loads(std_path.read_text())
+    std_path = Path(args.standardizer or Path(args.checkpoint).parent / "standardizer.json")
+    if args.standardizer or std_path.exists():
+        std = _load_checked(std_path, _STANDARDIZER_SCHEMA, "standardizer")
         mean, scale = np.asarray(std["mean"], dtype=float), np.asarray(std["scale"], dtype=float)
         if mean.shape != (ds.X.shape[1],) or scale.shape != (ds.X.shape[1],):
             raise CliError(f"standardizer {std_path} has mean/scale shapes {mean.shape}/{scale.shape}, "

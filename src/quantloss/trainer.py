@@ -3,6 +3,7 @@ adaptive learning rates, k-fold/repeat protocols, and run reports."""
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import math
@@ -788,16 +789,44 @@ def _jobs(config: TrainConfig, n_folds: int) -> list[list[tuple[int, tuple[int, 
     return bins
 
 
+#: the process's worker pool as ((workers, start method), pool); None until a parallel call
+_pool: tuple | None = None
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))  # never the parent's pool
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Empty the pool slot and shut its pool down, queued tasks cancelled."""
+    global _pool
+    slot, _pool = _pool, None
+    if slot is not None:
+        slot[1].shutdown(cancel_futures=True)
+
+
+def _exit_with_owner() -> None:
+    """Pool-worker initializer: exit once the process that owns the pool ends, even by a signal that
+    runs no exit handler; an idle worker would otherwise keep itself and the forkserver alive."""
+    import multiprocessing.connection
+    import threading
+    owner = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: (multiprocessing.connection.wait([owner]), os._exit(1)), daemon=True).start()
+
+
 def _run_jobs_in_processes(
     run: Callable[[list[tuple[int, tuple[int, ...]]]], list[RunRecord]],
     bins: list[list[tuple[int, tuple[int, ...]]]], n_workers: int,
 ) -> list[RunRecord]:
     """Map ``run``, a ``_run_bin`` partial, over ``n_workers`` processes, each with one BLAS thread.
 
-    Workers fork from a forkserver that has already imported this module
-    (spawn where forkserver is unavailable); each task ships ``run``, the
-    call's inputs with it, and one bin.  The first call in a process starts
-    the forkserver; it reads the pinned BLAS setting and keeps it for later pools.
+    One pool serves the process's calls, which must come from one thread at a
+    time.  It is rebuilt when the worker count or start method changes, after a
+    call raises, and once within a call whose reused pool lost a worker since
+    the last call; a forked child starts without it.  Each worker exits when
+    the process that owns the pool ends.  Workers fork from a forkserver that
+    has already imported this module (spawn where forkserver is unavailable);
+    each task ships ``run``, the call's inputs with it, and one bin, so no
+    worker keeps state.  The first task starts the forkserver, which keeps the
+    pinned BLAS setting.
     Python 3.11's forkserver ignores the caller's ``sys.path``, so where the
     package does not sit in a site-packages directory (where any interpreter
     finds it), its parent directory is put on ``PYTHONPATH`` too, for the
@@ -805,8 +834,9 @@ def _run_jobs_in_processes(
     A site-packages directory is never added: ``PYTHONPATH`` comes before
     the standard library, which its modules would then shadow.
     """
+    global _pool
     import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     if "forkserver" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("forkserver")
@@ -822,8 +852,17 @@ def _run_jobs_in_processes(
     caller = {name: os.environ.get(name) for name in pinned}
     os.environ.update(pinned)
     try:
-        with ProcessPoolExecutor(n_workers, mp_context=ctx) as pool:
-            return [rec for recs in pool.map(run, bins) for rec in recs]
+        key = (n_workers, ctx.get_start_method())
+        for fresh in (_pool is None or _pool[0] != key, True):  # a broken reused pool gets one retry
+            if fresh:
+                _close_pool()
+                _pool = (key, ProcessPoolExecutor(n_workers, mp_context=ctx, initializer=_exit_with_owner))
+            try:
+                return [rec for recs in _pool[1].map(run, bins) for rec in recs]
+            except BaseException as e:
+                _close_pool()
+                if fresh or not isinstance(e, BrokenProcessPool):
+                    raise
     finally:
         for name, value in caller.items():
             if value is None:

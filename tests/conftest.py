@@ -1,5 +1,14 @@
 import pytest
 
+from quantloss import trainer
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_pool_between_tests():
+    """Every test starts without the process's worker pool, as a fresh process would."""
+    yield
+    trainer._close_pool()
+
 
 @pytest.fixture
 def toy_csv(tmp_path):

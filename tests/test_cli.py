@@ -390,6 +390,26 @@ class TestEvalNamesTheFaultyArtifact:
         err = capsys.readouterr().err
         assert f"dataset {csv} has 8 features, but checkpoint {ckpt} takes 4 inputs" in err
 
+    @pytest.mark.parametrize("text, where", [
+        (json.dumps({"mean": [0.0] * 8}), "field (top level): 'scale' is a required property"),
+        (json.dumps([1, 2]), "field (top level): [1, 2] is not of type 'object'"),
+        ("not json", "is not valid JSON"),
+        (json.dumps({"mean": [0.0, "a"] + [0.0] * 6, "scale": [1.0] * 8}), "field mean/1: 'a' is not of type"),
+        (json.dumps({"mean": [0.0] * 8, "scale": [0.0] + [1.0] * 7}), "field scale/0: 0.0 is less than or equal"),
+        (json.dumps({"mean": [0.0] * 8, "scale": [float("nan")] * 8}), "field scale/0: NaN is not a finite"),
+    ])
+    def test_faulty_standardizer(self, tmp_path, capsys, text, where):
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(init_model(LayerSpec(8, (3,), 1), 0), ckpt)
+        csv = tmp_path / "pima.csv"
+        write_csv(pima_like(n=40), csv)
+        std = tmp_path / "std.json"
+        std.write_text(text)
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv), "--target", "diabetes",
+                     "--standardizer", str(std)]) == 1
+        err = capsys.readouterr().err
+        assert f"standardizer {std}" in err and where in err
+
 
 class TestThresholdFlags:
     @pytest.fixture(autouse=True)
