@@ -18,11 +18,16 @@ parent's interquartile range.  The no-regression check says whether the
 change's median is worse than the parent's by at most the metric's
 ``bound``, a fraction of the parent's median; it reads "unresolved" when the
 parent's interquartile range is wider than the bound, unless every run of
-the change beats every run of the parent.  Standard library only.
+the change beats every run of the parent.  Each run starts in its own session,
+and a SIGINT or SIGTERM to the script ends the running one's whole process
+group (``run.py``, its measuring child, the forkserver and its workers)
+before the script exits.  Standard library only.
 """
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -36,10 +41,17 @@ def run_once(checkout: Path, workload: str, args) -> dict:
     parsed, whose ``metrics`` map each name to {"value", "unit"}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:  # KeyboardInterrupt, or SystemExit from the SIGTERM handler
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    lines = stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{stderr}")
     return json.loads(lines[-1])
 
 
@@ -84,6 +96,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"] == "higher", m["bound"]) for m in bench["end_to_end"]}

@@ -135,6 +135,14 @@ def _latent_matrix(stack: ModelStack, X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(predict(stack, X)[..., 0].T)
 
 
+def _check_levels(taus, name: str = "tau_grid") -> tuple[float, ...]:
+    """``taus`` as floats if they are non-empty, rise strictly and lie in (0, 1); else a ValueError naming ``name``."""
+    taus = tuple(float(t) for t in taus)
+    if not taus or any(not 0.0 < t < 1.0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"{name} must be non-empty, rise strictly and lie in (0, 1), got {list(taus)}")
+    return taus
+
+
 def head_seed(seed: int, tau: float) -> int:
     """Deterministic per-head seed keyed by the quantile level."""
     return derive_seed(seed, round(tau * 1e9))
@@ -170,9 +178,7 @@ def multi_quantile_train(
     """
     from .trainer import OptimizerSpec, TrainConfig, _layer_spec, _train_adam  # trainer imports this module
 
-    X, y, taus = np.asarray(X, dtype=float), np.asarray(y, dtype=float), tuple(float(t) for t in tau_grid)
-    if not taus or any(not 0.0 < t < 1.0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError(f"tau_grid must be non-empty, rise strictly and lie in (0, 1), got {list(taus)}")
+    X, y, taus = np.asarray(X, dtype=float), np.asarray(y, dtype=float), _check_levels(tau_grid)
     if reg_weight < 0.0 or (reg_weight > 0.0 and len(taus) < 2):
         raise ValueError(f"reg_weight must be >= 0, and 0 for a grid of one level, got {reg_weight}")
     if config is None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synthetic
-from .classify import curve_to_csv, curve_to_json, multi_quantile_train, quantile_curve
+from .classify import _check_levels, curve_to_csv, curve_to_json, multi_quantile_train, quantile_curve
 from .data import StandardizeStats, load_csv, standardize_apply, standardize_fit, stratified_kfold
 from .network import forward, init_model, load_checkpoint, predict, save_checkpoint
 from .optim import LipschitzContext, lalr_lr, sbqc_lipschitz_constant
@@ -183,6 +183,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_levels([args.tau], "--tau")
     model = load_checkpoint(args.checkpoint)
     ds = load_csv(args.dataset, args.target, delimiter=args.delimiter,
                   header=not args.no_header)
@@ -220,7 +221,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_lipschitz(args) -> int:
     printed = False
     if args.tau is not None:
-        k = sbqc_lipschitz_constant(args.tau)
+        k = sbqc_lipschitz_constant(*_check_levels([args.tau], "--tau"))
         print(f"sbqc constant (tau={args.tau:g}): {k:.6f}")
         print(f"lalr lr: {lalr_lr(k):.6f}")
         printed = True
@@ -263,11 +264,12 @@ def cmd_quantiles(args) -> int:
     if args.sweep_points < 1:
         raise CliError(f"--sweep-points must be at least 1, got {args.sweep_points}")
     sbqc = doc.get("sbqc", {})
-    if args.tau_grid:
+    if args.tau_grid is not None:
         try:
             grid = [float(t) for t in args.tau_grid.split(",")]
         except ValueError as e:
             raise CliError(f"--tau-grid {args.tau_grid!r} is not a comma list of numbers: {e}") from e
+        _check_levels(grid, "--tau-grid")
     else:
         grid = sbqc.get("tau_grid", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     train_cfg = doc.setdefault("train", {})

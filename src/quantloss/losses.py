@@ -1,6 +1,8 @@
 """Loss family with exact derivatives, plus the quantile-crossing penalty.
 
 Residual convention, used everywhere in this package: ``r = prediction - target``.
+The tilted and check losses weight r <= 0 by tau and r > 0 by 1 - tau, as Koenker and Bassett's
+check function of target - prediction does: a check head at tau fits the tau-quantile.
 ``_batch_value_grad`` is the one per-kind table of values and derivatives in
 r; since d r / d prediction = 1, these are also the per-example prediction
 gradients.  ``eval_loss`` is that table at one point, and ``batch_loss``
@@ -32,8 +34,9 @@ class LossKind(str, enum.Enum):
 class LossSpec:
     """Selects a loss family member and its parameters.
 
-    ``h`` scales log-cosh as logcosh(r / h); ``tau`` is the quantile marker of
-    the tilted/check losses; ``delta`` is the Huber knot.
+    ``h`` scales log-cosh as logcosh(r / h); ``tau`` is the quantile level of
+    the tilted/check losses, which cost a prediction below its target tau and
+    one above it 1 - tau; ``delta`` is the Huber knot.
     """
 
     kind: LossKind
@@ -96,10 +99,10 @@ def _batch_value_grad(spec: LossSpec, r: np.ndarray) -> tuple[np.ndarray, np.nda
         u = r / spec.h
         return log_cosh(u), np.tanh(u) / spec.h
     if k is LossKind.TILTED_LOG_COSH:
-        w = np.where(r >= 0, spec.tau, 1.0 - spec.tau)
+        w = np.where(r > 0, 1.0 - spec.tau, spec.tau)
         return w * log_cosh(r), w * np.tanh(r)
     if k is LossKind.CHECK:
-        w = np.where(r >= 0, spec.tau, spec.tau - 1.0)
+        w = np.where(r > 0, 1.0 - spec.tau, -spec.tau)
         return w * r, w.astype(float)
     if k is LossKind.HUBER:
         d = spec.delta
@@ -158,7 +161,7 @@ def _curvature(spec: LossSpec, r: float) -> float | None:
     if k is LossKind.LOG_COSH:
         return float(_sech_sq(r / spec.h)) / spec.h**2
     if k is LossKind.TILTED_LOG_COSH:
-        return (spec.tau if r >= 0 else 1.0 - spec.tau) * float(_sech_sq(r))
+        return (1.0 - spec.tau if r > 0 else spec.tau) * float(_sech_sq(r))
     if k is LossKind.MSE:
         return 2.0
     if k is LossKind.HUBER and abs(r) != spec.delta:
@@ -167,10 +170,10 @@ def _curvature(spec: LossSpec, r: float) -> float | None:
 
 
 def tilted_log_cosh(residual: float, tau: float) -> LossEval:
-    """Asymmetric log-cosh: (1-tau) logcosh(r) for r < 0, tau logcosh(r) for r >= 0.
+    """Asymmetric log-cosh: tau logcosh(r) for r <= 0, (1-tau) logcosh(r) for r > 0.
 
-    Smooth surrogate for the check loss; tau = 0.5 gives exactly half of the
-    symmetric log-cosh.
+    Smooth surrogate for the check loss at the same level tau; tau = 0.5 gives
+    exactly half of the symmetric log-cosh.
     """
     return eval_loss(LossSpec(LossKind.TILTED_LOG_COSH, tau=tau), residual)
 

@@ -343,25 +343,34 @@ def minimize_lbfgs(
     m_hist: int = 10,
     c1: float = 1e-4,
     max_backtracks: int = 25,
+    callback: Callable[[int, LBFGSStep], bool] | None = None,
 ) -> MinimizeResult:
-    """Run L-BFGS until the gradient 2-norm falls to gtol or max_iter is hit."""
+    """Run L-BFGS until the gradient 2-norm falls to gtol or max_iter is hit.
+
+    ``callback(iteration, step)`` sees every ``lbfgs_step``; False ends the run at ``step.params``
+    after iteration + 1 iterations.  A rejected step clears the memory, so the next starts from
+    steepest descent; one rejected from an empty memory, which would only repeat, ends the run.
+    """
     x = np.asarray(x0, dtype=float).copy()
     mem = LBFGSMemory(m_hist=m_hist)
     f, g = objective(x)
     g = np.asarray(g, dtype=float)
     values = [float(f)]
-    for it in range(max_iter):
+
+    def result(iterations: int) -> MinimizeResult:
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= gtol:
-            return MinimizeResult(x, float(f), g, gnorm, it, True, values)
+        return MinimizeResult(x, float(f), g, gnorm, iterations, gnorm <= gtol, values)
+
+    for it in range(max_iter):
+        if float(np.linalg.norm(g)) <= gtol:
+            return result(it)
         had_memory = len(mem) > 0
         step = lbfgs_step(objective, x, mem, c1, max_backtracks, value_grad=(f, g))
-        if not step.accepted:
-            if not had_memory:
-                # even the steepest-descent fallback cannot improve
-                return MinimizeResult(x, float(f), g, gnorm, it, False, values)
-            continue  # memory cleared; retry from steepest descent
-        x, f, g = step.params, step.value, step.grad
-        values.append(float(f))
-    gnorm = float(np.linalg.norm(g))
-    return MinimizeResult(x, float(f), g, gnorm, max_iter, gnorm <= gtol, values)
+        if step.accepted:
+            x, f, g = step.params, step.value, step.grad
+            values.append(float(f))
+        if callback is not None and not callback(it, step):
+            return result(it + 1)
+        if not (step.accepted or had_memory):
+            return result(it)
+    return result(max_iter)

@@ -37,11 +37,10 @@ from .optim import (
     LR_MAX_DEFAULT,
     LR_MIN_DEFAULT,
     AdamState,
-    LBFGSMemory,
     LipschitzContext,
     adam_step,
     lalr_lr,
-    lbfgs_step,
+    minimize_lbfgs,
     regression_lipschitz_constant,
     sbqc_layer_lipschitz_constant,
 )
@@ -246,14 +245,6 @@ def _layer_spec(config: TrainConfig, input_dim: int, output_dim: int) -> LayerSp
     )
 
 
-def _loss_and_pred_grad(config: TrainConfig, outputs: np.ndarray, y: np.ndarray):
-    """Mean batch loss and d loss / d outputs for (m, out) outputs; y holds one target per output."""
-    if config.task == "classification":
-        value, grad = sbqc_batch_loss(y, outputs[:, 0], config.sbqc_tau)
-        return value, grad.reshape(-1, 1)
-    return batch_loss(config.loss, outputs, y.reshape(outputs.shape))
-
-
 def _score(task: str, tau: float, outputs: np.ndarray, y: np.ndarray) -> dict[str, float]:
     """Metrics of (m, out) outputs against y: of the labels predict_prob >= 0.5, or the rmse."""
     if task == "classification":
@@ -266,13 +257,8 @@ def _score(task: str, tau: float, outputs: np.ndarray, y: np.ndarray) -> dict[st
 BEST_METRIC = {"classification": ("accuracy", True), "regression": ("rmse", False)}
 
 
-def _val_metric(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> float:
-    """The task's ``BEST_METRIC`` of (m, out) outputs."""
-    return _head_val_metrics(config, outputs[None], y)[0]
-
-
 def _head_val_metrics(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> list[float]:
-    """``_val_metric`` of each head of (heads, m, out) outputs.
+    """The task's ``BEST_METRIC`` of each head of (heads, m, out) outputs.
 
     Classification scores every head with one ``predict_prob`` call, as
     hits / m, which equals ``classification_metrics``' (tp + tn) / n bit for
@@ -316,7 +302,7 @@ def train_single(
     result is one list of runs per fold.  Adam and LALR-Adam train together,
     as one ``ModelStack``, every run of the folds that have one number of
     batches per epoch (see ``_train_adam``); L-BFGS trains the runs one
-    after another, because its line search is per run.
+    after another, one ``minimize_lbfgs`` call each, as its line search is per run.
     """
     several = isinstance(X_train, (list, tuple))
     if several:
@@ -359,62 +345,43 @@ def _train_lbfgs(
     config: TrainConfig, spec: LayerSpec,
     X_train: np.ndarray, y_train: np.ndarray, X_val: np.ndarray, y_val: np.ndarray, seed: int,
 ) -> SingleRun:
-    """Full-batch L-BFGS for one run; each accepted or rejected step is an epoch."""
+    """Full-batch L-BFGS for one run, as one ``minimize_lbfgs`` call, whose rules restart and end it: each
+    accepted or rejected step is an epoch, scored by ``_train_adam``'s per-head helpers as a stack of one."""
     model = init_model(spec, seed)
     ws = Workspace(spec)
     run = SingleRun.start(BEST_METRIC[config.task][1], lalr=False)
 
-    def evaluate_epoch(p: np.ndarray, tl: float) -> bool:
-        """Record the epoch at ``p``, whose training loss is ``tl``; False when
-        that loss, the validation outputs or the validation loss are not finite.
-
-        Any other error of the validation loss (a label outside {0, 1}, a
-        non-finite target) is raised, as in ``_train_adam``.
-        """
-        set_flat_params(model, p)
-        out_val = predict(model, X_val, workspace=ws)
-        if not (math.isfinite(tl) and np.isfinite(out_val).all()):
-            return False
-        vl, _ = _loss_and_pred_grad(config, out_val, y_val)
-        if not math.isfinite(float(vl)):
-            return False
-        run.record(tl, float(vl), _val_metric(config, out_val, y_val), p)
-        return True
-
-    # params stays the line search's own vector: lbfgs_step keeps x0 and
-    # the returned gradients across objective calls, so neither may alias
-    # the model's parameters or the workspace's gradient.  A point whose
-    # outputs are not finite scores NaN, which the line search rejects.
+    # the line search keeps x0 and the returned gradients, so neither may alias the model's parameters or
+    # the workspace's gradient.  Non-finite outputs score NaN with a zero gradient, which the line search
+    # rejects (backpropagated through their activations, the zero would be NaN).
     def objective(p: np.ndarray) -> tuple[float, np.ndarray]:
         set_flat_params(model, p)
         out, trace = forward(model, X_train, workspace=ws)
         if not np.isfinite(out).all():
             return math.nan, np.zeros_like(p)
-        value, pred_grad = _loss_and_pred_grad(config, out, y_train)
-        backward(model, trace, pred_grad, workspace=ws)
-        return float(value), ws.grad.copy()
+        value, pred_grad = _head_losses(config, out[None], y_train)
+        backward(model, trace, pred_grad[0], workspace=ws)
+        return float(value[0]), ws.grad.copy()
 
-    params = flatten_params(model)
-    mem = LBFGSMemory(m_hist=config.optimizer.m_hist)
-    cached = objective(params)
-    for epoch in range(config.epochs):
-        had_memory = len(mem) > 0
-        step = lbfgs_step(
-            objective, params, mem,
-            max_backtracks=config.optimizer.max_line_search,
-            value_grad=cached,
-        )
-        # step.value is the full training loss at the returned params;
-        # a rejected step returns the unchanged params and their value
+    def record(epoch: int, step) -> bool:
+        """Record the epoch at ``step.params``; False, which ends the run as diverged, when the training loss
+        or the validation loss is not finite.  A label outside {0, 1} raises, as in ``_train_adam``."""
         run.line_search_failures += not step.accepted
-        params, cached = step.params, (step.value, step.grad)
-        if not evaluate_epoch(params, step.value):
-            run.diverged_at = (epoch, 0)
-            break
-        if not (step.accepted or had_memory):
-            # even the steepest-descent fallback cannot improve; converged
-            break
-    return run.finish(params, run.diverged_at is not None)
+        if math.isfinite(step.value):
+            set_flat_params(model, step.params)
+            out_val = predict(model, X_val, workspace=ws)[None]
+            vl = float(_head_values(config, out_val, y_val)[0])
+            if math.isfinite(vl):
+                run.record(step.value, vl, _head_val_metrics(config, out_val, y_val)[0], step.params)
+                return True
+        run.diverged_at = (epoch, 0)
+        return False
+
+    # no gtol: only the epochs and the line search end a run, even at a zero gradient
+    result = minimize_lbfgs(objective, flatten_params(model), config.epochs, gtol=-math.inf,
+                            m_hist=config.optimizer.m_hist, max_backtracks=config.optimizer.max_line_search,
+                            callback=record)
+    return run.finish(result.x, run.diverged_at is not None)
 
 
 def _finite_heads(score: Callable, outputs: np.ndarray, y: np.ndarray, y_shape: tuple):
@@ -770,12 +737,13 @@ def _run_bin(pieces: list[tuple[int, tuple[int, ...]]], inputs: tuple) -> list[R
 def _jobs(config: TrainConfig, n_folds: int) -> list[list[tuple[int, tuple[int, ...]]]]:
     """Bins of (fold, repeats) pieces, one bin per worker task, in (fold, repeat) order.
 
-    L-BFGS gets one single-run bin per run, because its line search is per
-    run.  Adam cuts the (fold, repeat) grid, in order, into min(workers,
-    runs) contiguous bins whose run counts differ by at most one, and splits
-    each bin at fold edges into pieces, one per fold: on 2 CPUs, 5 folds x 5
-    repeats go out as 5 + 5 + 3 and 2 + 5 + 5 runs, and ``_run_bin`` trains
-    each bin as one stack.
+    L-BFGS gets one single-run bin per run: its runs differ in length, and
+    single-run tasks let the pool balance them (Adam's balanced bins measured
+    slower on the wine L-BFGS preset).  Adam cuts the (fold, repeat) grid, in
+    order, into min(workers, runs) contiguous bins whose run counts differ by
+    at most one, and splits each bin at fold edges into pieces, one per fold:
+    on 2 CPUs, 5 folds x 5 repeats go out as 5 + 5 + 3 and 2 + 5 + 5 runs,
+    and ``_run_bin`` trains each bin as one stack.
     """
     runs = n_folds * config.repeats
     if config.optimizer.kind == "lbfgs":

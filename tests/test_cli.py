@@ -320,6 +320,34 @@ class TestQuantilesCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("lipschitz", "--tau", "1.5"),
+    ("lipschitz", "--tau", "nan"),
+    ("eval", "--tau", "1.5"),
+    ("eval", "--tau", "0"),
+    ("quantiles", "--tau-grid", "0.5,0.25"),
+    ("quantiles", "--tau-grid", "0.25,1.0"),
+    ("quantiles", "--tau-grid", ""),
+])
+def test_a_bad_level_exits_1_naming_its_flag_before_any_work(command, flag, value, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError(f"trained before checking {flag}")
+
+    monkeypatch.setattr("quantloss.cli.multi_quantile_train", no_training)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": "classification",
+        "dataset": {"path": str(REPO / "data" / "fixtures" / "toy_classification.csv"), "target": "label"},
+    }))
+    rest = {"lipschitz": [],
+            # no checkpoint exists, so only a check made before loading it can name the flag
+            "eval": ["--checkpoint", str(tmp_path / "none.json"), "--dataset", "none.csv", "--target", "y"],
+            "quantiles": ["--config", str(cfg), "--out", str(tmp_path / "q")]}[command]
+    assert main([command, *rest, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and not (tmp_path / "q").exists()
+
+
 class TestGradcheckCommand:
     def test_exit_zero_and_prints_margins(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0

@@ -66,6 +66,11 @@ class TestEvalLoss:
             for r in rng.uniform(-50, 50, 200):
                 assert abs(eval_loss(spec, float(r)).grad) <= 1.0 / h + 1e-15
 
+    def test_check_at_zero_takes_the_tau_side(self):
+        # the subgradient a prediction at its target gets, as one an epsilon below it
+        assert eval_loss(LossSpec(LossKind.CHECK, tau=0.2), 0.0).grad == -0.2
+        assert eval_loss(LossSpec(LossKind.CHECK, tau=0.2), -1e-9).grad == -0.2
+
     def test_nonsmooth_kinds_have_no_curvature(self):
         assert eval_loss(LossSpec(LossKind.MAE), 1.3).curvature is None
         assert eval_loss(LossSpec(LossKind.CHECK, tau=0.3), 1.3).curvature is None
@@ -96,13 +101,14 @@ class TestTiltedLogCosh:
             assert tilted_log_cosh(0.0, tau).value == 0.0
 
     def test_negative_branch(self):
+        # a prediction below its target costs tau
         e = tilted_log_cosh(-1.0, 0.25)
-        assert e.value == pytest.approx(0.75 * LOGCOSH_1, abs=1e-12)
-        assert e.grad == pytest.approx(0.75 * math.tanh(-1.0), abs=1e-15)
+        assert e.value == pytest.approx(0.25 * LOGCOSH_1, abs=1e-12)
+        assert e.grad == pytest.approx(0.25 * math.tanh(-1.0), abs=1e-15)
 
     def test_nonnegative_branch(self):
         e = tilted_log_cosh(1.0, 0.25)
-        assert e.value == pytest.approx(0.25 * LOGCOSH_1, abs=1e-12)
+        assert e.value == pytest.approx(0.75 * LOGCOSH_1, abs=1e-12)
 
     def test_half_tau_is_half_logcosh_exactly(self):
         for r in np.linspace(-40, 40, 801):
@@ -117,6 +123,30 @@ class TestTiltedLogCosh:
     def test_zero_uses_tau_branch(self):
         # case split puts r = 0 on the tau side; curvature follows it
         assert tilted_log_cosh(0.0, 0.2).curvature == pytest.approx(0.2)
+
+
+class TestQuantileLevel:
+    """The constant that fits a sample under the check loss at tau is its tau-quantile, as under
+    Koenker and Bassett's check loss; under the tilted loss it lies on tau's side of the median."""
+
+    SAMPLE = np.random.default_rng(0).normal(size=1001)  # n * tau is never an integer
+
+    @staticmethod
+    def _minimiser(spec, candidates, y):
+        values = [batch_loss(spec, np.full_like(y, c), y)[0] for c in candidates]
+        return candidates[int(np.argmin(values))]
+
+    @pytest.mark.parametrize("tau", [0.1, 0.25, 0.75, 0.9])
+    def test_check_minimiser_is_the_empirical_quantile(self, tau):
+        y = self.SAMPLE
+        c = self._minimiser(LossSpec(LossKind.CHECK, tau=tau), np.sort(y), y)
+        assert np.mean(y < c) <= tau <= np.mean(y <= c)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.25, 0.75, 0.9])
+    def test_tilted_minimiser_lies_on_the_tau_side_of_the_median(self, tau):
+        y = self.SAMPLE
+        c = self._minimiser(LossSpec(LossKind.TILTED_LOG_COSH, tau=tau), np.linspace(-3.0, 3.0, 1201), y)
+        assert (c - np.median(y)) * (tau - 0.5) > 0
 
 
 class TestCrossingPenalty:

@@ -249,6 +249,86 @@ class TestMinimize:
         assert res.iterations <= 30
 
 
+def _quadratic(scale: float = 1.0, seed: int = 1, n: int = 6):
+    """0.5 x.Ax with A's eigenvalues in scale * [0.05, 1.9], and a start point.  At scale 1 and
+    ``max_backtracks=1`` the sixth step is rejected from a full memory; at scale 10 the first
+    step, from an empty one."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = Q @ np.diag(scale * rng.uniform(0.05, 1.9, size=n)) @ Q.T
+    return (lambda x: (0.5 * float(x @ A @ x), A @ x)), rng.normal(size=n) * 3
+
+
+def _reference_minimize(objective, x0, max_iter, gtol, m_hist, max_backtracks):
+    """``minimize_lbfgs`` before it took a callback, as a plain loop."""
+    x, mem = np.asarray(x0, dtype=float).copy(), LBFGSMemory(m_hist=m_hist)
+    f, g = objective(x)
+    values = [float(f)]
+    for it in range(max_iter):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= gtol:
+            return x, f, g, gnorm, it, True, values
+        had_memory = len(mem) > 0
+        step = lbfgs_step(objective, x, mem, 1e-4, max_backtracks, value_grad=(f, g))
+        if not step.accepted:
+            if not had_memory:
+                return x, f, g, gnorm, it, False, values
+            continue
+        x, f, g = step.params, step.value, step.grad
+        values.append(float(f))
+    gnorm = float(np.linalg.norm(g))
+    return x, f, g, gnorm, max_iter, gnorm <= gtol, values
+
+
+class TestMinimizeCallback:
+    KW = {"max_iter": 30, "gtol": 1e-12, "m_hist": 3, "max_backtracks": 1}
+
+    def _seen(self, scale: float):
+        """The run at ``scale`` and the (iteration, accepted, params) of every step its callback saw."""
+        seen = []
+
+        def callback(it, step):
+            seen.append((it, step.accepted, step.params.copy()))
+            return True
+
+        obj, x0 = _quadratic(scale)
+        return minimize_lbfgs(obj, x0, **self.KW, callback=callback), seen
+
+    def test_sees_every_iteration_rejected_steps_included(self):
+        res, seen = self._seen(1.0)
+        accepted = [a for _, a, _ in seen]
+        assert [it for it, _, _ in seen] == list(range(res.iterations)) and res.iterations == 30
+        assert accepted.index(False) == 5 and accepted[6:] == [True] * 24  # the run restarts after it
+        res, seen = self._seen(10.0)
+        assert [(it, a) for it, a, _ in seen] == [(0, False)] and res.iterations == 0
+
+    @pytest.mark.parametrize("k", [0, 5, 12])  # 5 is the rejected step
+    def test_false_at_iteration_k_ends_the_run_at_that_step(self, k):
+        _, seen = self._seen(1.0)
+        obj, x0 = _quadratic()
+        calls = []
+
+        def callback(it, step):
+            calls.append(it)
+            return it != k
+
+        res = minimize_lbfgs(obj, x0, **self.KW, callback=callback)
+        assert calls == list(range(k + 1)) and res.iterations == k + 1
+        np.testing.assert_array_equal(res.x, seen[k][2])
+        assert res.value == obj(res.x)[0]
+
+    @pytest.mark.parametrize("scale, kw", [
+        (1.0, KW), (10.0, KW), (1.0, {"max_iter": 60, "gtol": 1e-8, "m_hist": 10, "max_backtracks": 25}),
+    ])
+    def test_no_callback_gives_the_plain_loops_result_bit_for_bit(self, scale, kw):
+        obj, x0 = _quadratic(scale)
+        res = minimize_lbfgs(obj, x0, **kw)
+        x, f, g, gnorm, iterations, converged, values = _reference_minimize(obj, x0, **kw)
+        assert (res.x.tobytes(), res.grad.tobytes()) == (x.tobytes(), g.tobytes())
+        assert (res.value, res.grad_norm, res.iterations, res.converged, res.values) == (
+            f, gnorm, iterations, converged, values)
+
+
 class TestEmpiricalLipschitz:
     @pytest.mark.parametrize("tau", [0.1, 0.25, 0.75, 0.9])
     def test_sbqc_slopes_within_constant(self, tau):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from quantloss import trainer, verify
+from quantloss import optim, trainer, verify
 from quantloss.classify import sbqc_batch_loss
 from quantloss.data import load_csv
 from quantloss.losses import LossKind, LossSpec
@@ -74,6 +74,15 @@ def _differences(got: SingleRun, want: SingleRun) -> list[str]:
                   if not np.array_equal(getattr(got, name), getattr(want, name))]
 
 
+def _loss(config, out, y):
+    """Mean batch loss and d loss / d outputs of one network's (m, out) outputs; the regression
+    loss is ``trainer.batch_loss``, which some tests replace by a faulty one."""
+    if config.task == "classification":
+        value, grad = sbqc_batch_loss(y, out[:, 0], config.sbqc_tau)
+        return value, grad.reshape(-1, 1)
+    return trainer.batch_loss(config.loss, out, y.reshape(out.shape))
+
+
 def _reference_run(config, X, y, Xv, yv, seed) -> SingleRun:
     """One run on a single network, one batch at a time, as before stacking."""
     out_dim = 1 if config.task == "classification" or y.ndim == 1 else y.shape[1]
@@ -94,7 +103,7 @@ def _reference_run(config, X, y, Xv, yv, seed) -> SingleRun:
             mask_seed = int(mask_rng.integers(0, 2**63)) if dropout else 0
             out, trace = forward(model, X[idx], train_mode=dropout, seed=mask_seed, workspace=ws)
             try:
-                value, pred_grad = trainer._loss_and_pred_grad(config, out, y[idx])
+                value, pred_grad = _loss(config, out, y[idx])
             except ValueError:
                 return log.finish(model.params.copy(), diverged=True)
             if not math.isfinite(value):
@@ -116,10 +125,10 @@ def _reference_run(config, X, y, Xv, yv, seed) -> SingleRun:
                 return log.finish(model.params.copy(), diverged=True)
         try:
             out, _ = forward(model, X, workspace=ws)
-            tl = float(trainer._loss_and_pred_grad(config, out, y)[0])
+            tl = float(_loss(config, out, y)[0])
             out_val, _ = forward(model, Xv, workspace=ws)
-            vl = float(trainer._loss_and_pred_grad(config, out_val, yv)[0])
-            vm = trainer._val_metric(config, out_val, yv)
+            vl = float(_loss(config, out_val, yv)[0])
+            vm = trainer._head_val_metrics(config, out_val[None], yv)[0]
         except ValueError:
             return log.finish(model.params.copy(), diverged=True)
         if not (math.isfinite(tl) and math.isfinite(vl)):
@@ -303,7 +312,7 @@ class TestDivergenceInsideAStack:
             steps.append(lbfgs_step(*args, **kwargs))
             return steps[-1]
 
-        monkeypatch.setattr(trainer, "lbfgs_step", counting_lbfgs_step)
+        monkeypatch.setattr(optim, "lbfgs_step", counting_lbfgs_step)
         config = TrainConfig(task="regression", hidden_sizes=(8,), loss=LossSpec(LossKind.MSE),
                              optimizer=OptimizerSpec(kind="lbfgs", max_line_search=1), epochs=5)
         X, y, Xv, yv = _diverging_split()
