@@ -54,16 +54,6 @@ def sbqc_loss(y, z, tau):
     vector of levels broadcasts along the last axis of z, one level per
     column, with each element computed as with its level alone.
     """
-    value, (dist, z_arr, positive, in_tail, u, a, tail) = _sbqc_terms(y, z, tau)
-    slope = np.where(in_tail, u / (a * (1.0 + u * u)), dist.pdf(z_arr) / (1.0 - tail))
-    grad = np.where(positive, slope, -slope)
-    if value.ndim == 0:
-        return float(value), float(grad)
-    return value, grad
-
-
-def _sbqc_terms(y, z, tau):
-    """``sbqc_loss``'s checks and value, with the terms its slope reuses."""
     dist = AsymmetricHSD(tau)
     y_arr = np.asarray(y, dtype=float)
     z_arr = np.asarray(z, dtype=float)
@@ -81,7 +71,11 @@ def _sbqc_terms(y, z, tau):
     # the label's probability is the tail for y = 1 right of 0 and y = 0 left of it
     in_tail = right == positive
     value = np.where(in_tail, (abs_z - capped) - np.log(tail), -np.log1p(-tail))
-    return value, (dist, z_arr, positive, in_tail, u, a, tail)
+    slope = np.where(in_tail, u / (a * (1.0 + u * u)), dist.pdf(z_arr) / (1.0 - tail))
+    grad = np.where(positive, slope, -slope)
+    if value.ndim == 0:
+        return float(value), float(grad)
+    return value, grad
 
 
 def sbqc_batch_loss(y, z, tau) -> tuple[float | np.ndarray, np.ndarray]:
@@ -96,25 +90,17 @@ def sbqc_batch_loss(y, z, tau) -> tuple[float | np.ndarray, np.ndarray]:
     """
     z = np.asarray(z, float)
     value, grad = sbqc_loss(np.asarray(y, float), z, tau)
-    return _batch_mean(value, z, tau), grad / (z.shape[-1] if np.ndim(tau) == 0 else z.shape[0])
-
-
-def sbqc_batch_value(y, z, tau) -> float | np.ndarray:
-    """The value of ``sbqc_batch_loss``, bit for bit, without the slope, pdf and gradient."""
-    return _batch_mean(_sbqc_terms(y, z, tau)[0], np.asarray(z, float), tau)
-
-
-def _batch_mean(value: np.ndarray, z: np.ndarray, tau) -> float | np.ndarray:
-    """``sbqc_batch_loss``'s reduction of the per-latent losses."""
     if np.ndim(tau) == 0:
+        m = z.shape[-1]
         if z.ndim == 2:
             # a contiguous row reduces in the order np.mean gives it alone
-            return np.add.reduce(value, axis=1) / z.shape[-1]
-        return float(np.mean(value))
+            return np.add.reduce(value, axis=1) / m, grad / m
+        return float(np.mean(value)), grad / m
+    m = z.shape[0]
     # one contiguous row per level, so each sum runs in a single level's order,
     # and dividing by m then gives what np.mean gives for that level alone
     sums = np.add.reduce(np.ascontiguousarray(value.T), axis=1)
-    return sum((sums / z.shape[0]).tolist())
+    return sum((sums / m).tolist()), grad / m
 
 
 @dataclass

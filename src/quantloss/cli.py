@@ -198,6 +198,8 @@ def cmd_eval(args) -> int:
             raise CliError(f"standardizer {std_path} has mean/scale shapes {mean.shape}/{scale.shape}, "
                            f"but the dataset has {ds.X.shape[1]} features")
         ds = standardize_apply(StandardizeStats(mean, scale, ()), ds)
+    else:
+        print(f"warning: no standardizer at {std_path}; scoring raw features", file=sys.stderr)
     m = _score(ds.task, args.tau, predict(model, ds.X), ds.y)
     for k, v in sorted(m.items()):
         print(f"{k}: {v:.6f}")

@@ -15,7 +15,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .classify import head_seed, predict_prob, sbqc_batch_loss, sbqc_batch_value
+from .classify import head_seed, predict_prob, sbqc_batch_loss
 from .data import Dataset, FoldPlan, StandardizeStats, standardize_apply, standardize_fit, subset
 from .losses import LossSpec, batch_loss, quantile_crossing_grad
 from .metrics import ConfusionMatrix, classification_metrics, rmse
@@ -370,7 +370,7 @@ def _train_lbfgs(
         if math.isfinite(step.value):
             set_flat_params(model, step.params)
             out_val = predict(model, X_val, workspace=ws)[None]
-            vl = float(_head_values(config, out_val, y_val)[0])
+            vl = float(_head_losses(config, out_val, y_val)[0][0])
             if math.isfinite(vl):
                 run.record(step.value, vl, _head_val_metrics(config, out_val, y_val)[0], step.params)
                 return True
@@ -385,7 +385,7 @@ def _train_lbfgs(
 
 
 def _finite_heads(score: Callable, outputs: np.ndarray, y: np.ndarray, y_shape: tuple):
-    """``score(outputs, y)`` -> (values, grad or None) of the finite heads in one call, ``y`` broadcast to
+    """``score(outputs, y)`` -> (values, grad) of the finite heads in one call, ``y`` broadcast to
     ``y_shape`` to pick theirs; a head with non-finite outputs gets NaN and a zero gradient.  That is the one
     reason a head's loss raises, so the finite heads' ValueError (a label outside {0, 1}) propagates."""
     finite = np.isfinite(outputs).all(axis=(1, 2))
@@ -393,8 +393,7 @@ def _finite_heads(score: Callable, outputs: np.ndarray, y: np.ndarray, y_shape: 
         return score(outputs, y)
     values, grad = np.full(len(outputs), np.nan), np.zeros_like(outputs)
     if finite.any():
-        values[finite], g = score(outputs[finite], np.broadcast_to(y, y_shape)[finite])
-        grad[finite] = 0.0 if g is None else g
+        values[finite], grad[finite] = score(outputs[finite], np.broadcast_to(y, y_shape)[finite])
     return values, grad
 
 
@@ -415,14 +414,6 @@ def _head_losses(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> tup
         m = outputs.shape[1]
         return np.add.reduce(per_example, axis=1) / m, grad / m
     return _finite_heads(score, outputs, y, outputs.shape)
-
-
-def _head_values(config: TrainConfig, outputs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The values of ``_head_losses``, bit for bit; sBQC skips its slope, pdf and gradient."""
-    if config.task != "classification":
-        return _head_losses(config, outputs, y)[0]
-    return _finite_heads(lambda outputs, y: (sbqc_batch_value(y, outputs[..., 0], config.sbqc_tau), None),
-                         outputs, y, outputs.shape[:-1])[0]
 
 
 def _grid_losses(levels: np.ndarray, reg_weight: float,
@@ -606,9 +597,9 @@ def _train_adam(
             continue
         oks, outs = [], []
         for a, b, f, model, work in folds:
-            tl = _head_values(config, predict(model, X_train[f], workspace=work), y_train[f])
+            tl = _head_losses(config, predict(model, X_train[f], workspace=work), y_train[f])[0]
             out_val = predict(model, X_val[f], workspace=work)
-            vl = _head_values(config, out_val, y_val[f])
+            vl = _head_losses(config, out_val, y_val[f])[0]
             ok = np.isfinite(tl) & np.isfinite(vl)
             scored = np.flatnonzero(ok & ~done[a:b])
             for j, vm in zip(scored, _head_val_metrics(config, out_val[scored], y_val[f])):

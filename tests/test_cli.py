@@ -176,6 +176,16 @@ class TestEvalStandardizer:
         assert self._eval(out / "checkpoint.json", dataset) == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_scoring_raw_features_warns_with_the_missing_path(self, cls_setup, capsys):
+        out, dataset = self._trained(cls_setup)
+        capsys.readouterr()
+        assert self._eval(out / "checkpoint.json", dataset) == 0
+        assert "warning" not in capsys.readouterr().err
+        (out / "standardizer.json").unlink()
+        assert self._eval(out / "checkpoint.json", dataset) == 0
+        err = capsys.readouterr().err
+        assert f"warning: no standardizer at {out / 'standardizer.json'}; scoring raw features" in err
+
 
 def test_train_runs_clean_in_dev_mode_with_warnings_as_errors(tmp_path):
     """Worker pool and training buffers leak no resource and raise no warning."""

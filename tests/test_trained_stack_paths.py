@@ -2,9 +2,11 @@
 
 Trained heads are read out by one stacked ``predict``, and Adam's step has
 one failure mask: the references below are the per-head readouts these
-paths replaced, and must match them bit for bit.  A tau grid refuses a
-config whose task is not classification, and ``quantiles`` refuses a bad
-``--sweep-points`` or ``--tau-grid`` before it trains.
+paths replaced, and must match them bit for bit.  Every epoch is scored
+through ``_head_losses``, the training step's loss, so a run's validation
+loss at its best epoch is that of ``predict`` at its best params.  A tau
+grid refuses a config whose task is not classification, and ``quantiles``
+refuses a bad ``--sweep-points`` or ``--tau-grid`` before it trains.
 """
 
 import json
@@ -132,3 +134,59 @@ class TestOneInferencePath:
         assert report.best_model.params is not best.best_params
         assert report.best_model.seed == derive_seed(config.seed, best.fold, best.repeat)
         assert report.best_standardizer is best.standardizer
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+class TestHeadLosses:
+    CLASSIFICATION = TrainConfig(task="classification", sbqc_tau=0.3)
+    REGRESSION = TrainConfig(task="regression", loss=LossSpec(LossKind.LOG_COSH))
+
+    @staticmethod
+    def _outputs_and_labels(heads, m):
+        rng = np.random.default_rng(0)
+        outputs = rng.normal(scale=4.0, size=(heads, m, 1))
+        outputs.flat[:6] = [0.0, -0.0, 750.0, -750.0, 1e-300, 30.0]  # zeros and both tails
+        return outputs, (rng.random(m) < 0.5).astype(float)
+
+    @pytest.mark.parametrize("bad_heads", [[], [2], [0, 4], [0, 1, 2, 3, 4]])
+    def test_a_non_finite_head_gets_nan_and_a_zero_gradient(self, bad_heads):
+        outputs, y = self._outputs_and_labels(5, 40)
+        outputs[bad_heads, 3, 0] = np.nan
+        for config in (self.CLASSIFICATION, self.REGRESSION):
+            target = y if config.task == "classification" else y[:, None]
+            values, grad = trainer._head_losses(config, outputs, target)
+            for j, out in enumerate(outputs):
+                if j in bad_heads:
+                    assert np.isnan(values[j]) and not grad[j].any()
+                else:
+                    one_value, one_grad = trainer._head_losses(config, out[None], target)
+                    assert _bits(values[j]) == _bits(one_value[0])
+                    assert _bits(grad[j]) == _bits(one_grad[0])
+
+    def test_a_bad_label_of_a_finite_head_raises(self):
+        outputs, y = self._outputs_and_labels(3, 10)
+        y[4] = 0.5
+        outputs[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="labels must lie in"):
+            trainer._head_losses(self.CLASSIFICATION, outputs, y)
+
+
+@pytest.mark.parametrize("kind", ["adam", "lalr-adam", "lbfgs"])
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_the_best_epochs_val_loss_is_head_losses_at_its_params(kind, task):
+    """The epoch evaluation's validation loss is ``_head_losses`` of ``predict`` at the recorded params."""
+    ds = pima_like(n=120) if task == "classification" else wine_like(n=90)
+    loss = LossSpec(LossKind.LOG_COSH) if task == "regression" else None
+    config = TrainConfig(task=task, hidden_sizes=(6,), loss=loss, optimizer=OptimizerSpec(kind=kind),
+                         epochs=4, batch_size=32, seed=3)
+    X, y = (ds.X - ds.X.mean(axis=0)) / ds.X.std(axis=0), ds.y
+    runs = trainer.train_single(config, X[:70], y[:70], X[70:], y[70:], [0, 1, 2])
+    y_val = y[70:] if task == "classification" else y[70:, None]
+    spec = trainer._layer_spec(config, X.shape[1], 1)
+    for run in runs:
+        assert not run.diverged and len(run.val_loss) == config.epochs
+        values, _ = trainer._head_losses(config, predict(_model_with(spec, run.best_params), X[70:])[None], y_val)
+        assert _bits(run.val_loss[run.best_epoch]) == _bits(values[0])
