@@ -1,18 +1,18 @@
-"""The value-only sBQC loss of the epoch evaluation.
+"""The value of the sBQC batch loss that the epoch evaluation scores.
 
-``sbqc_batch_value`` shares ``sbqc_loss``'s value formula and
-``sbqc_batch_loss``'s reduction, and skips the slope, ``pdf`` and gradient;
-its values must equal ``sbqc_batch_loss``'s bit for bit, and the trainer's
-``_head_values`` must equal ``_head_losses``' values, NaN heads included.
+The epoch evaluation takes its training and validation losses from
+``sbqc_batch_loss``'s value.  That value must be ``np.mean`` of
+``sbqc_loss``'s per-latent values, bit for bit: one mean per batch, one per
+row of a stack of batches, and the sum over a vector of levels of each
+level's mean, taken in level order.  Its gradient is ``sbqc_loss``'s divided
+by the batch size, and a bad label or a non-finite latent raises the error
+``sbqc_loss`` raises.
 """
 
 import numpy as np
 import pytest
 
-from quantloss import trainer
-from quantloss.classify import sbqc_batch_loss, sbqc_batch_value
-from quantloss.losses import LossKind, LossSpec
-from quantloss.trainer import TrainConfig
+from quantloss.classify import sbqc_batch_loss, sbqc_loss
 
 
 def _latents(shape, seed=0):
@@ -34,46 +34,33 @@ def _bits(x):
 class TestValuesEqualTheBatchLoss:
     def test_one_batch(self, tau):
         z, y = _latents(77), _labels(77)
-        value = sbqc_batch_value(y, z, tau)
-        assert type(value) is float and _bits(value) == _bits(sbqc_batch_loss(y, z, tau)[0])
+        value, grad = sbqc_batch_loss(y, z, tau)
+        losses, slopes = sbqc_loss(y, z, tau)
+        assert type(value) is float and _bits(value) == _bits(np.mean(losses))
+        assert _bits(grad) == _bits(slopes / 77)
 
     @pytest.mark.parametrize("per_head_labels", [False, True])
     def test_one_row_per_head(self, tau, per_head_labels):
         z = _latents((13, 64))
         y = _labels((13, 64) if per_head_labels else 64)
-        assert _bits(sbqc_batch_value(y, z, tau)) == _bits(sbqc_batch_loss(y, z, tau)[0])
+        values, grad = sbqc_batch_loss(y, z, tau)
+        losses, slopes = sbqc_loss(y, z, tau)
+        assert _bits(values) == _bits([np.mean(row) for row in losses])
+        assert _bits(grad) == _bits(slopes / 64)
 
     def test_a_vector_of_levels(self, tau):
         levels = np.array([0.25, tau, 0.75])
         z, y = _latents((50, 3)), _labels((50, 1))
-        assert _bits(sbqc_batch_value(y, z, levels)) == _bits(sbqc_batch_loss(y, z, levels)[0])
+        value, grad = sbqc_batch_loss(y, z, levels)
+        alone = [sbqc_loss(y[:, 0], z[:, j].copy(), t) for j, t in enumerate(levels)]
+        assert _bits(value) == _bits(sum(float(np.mean(losses)) for losses, _ in alone))
+        assert _bits(grad) == _bits(np.stack([slopes for _, slopes in alone], axis=1) / 50)
 
 
 def test_bad_inputs_raise_as_the_batch_loss_does():
     for y, z in [(np.array([0.0, 2.0]), np.zeros(2)), (np.zeros(2), np.array([0.0, np.inf]))]:
         with pytest.raises(ValueError) as want:
-            sbqc_batch_loss(y, z, 0.3)
+            sbqc_loss(y, z, 0.3)
         with pytest.raises(ValueError) as got:
-            sbqc_batch_value(y, z, 0.3)
+            sbqc_batch_loss(y, z, 0.3)
         assert str(got.value) == str(want.value)
-
-
-class TestHeadValues:
-    CLASSIFICATION = TrainConfig(task="classification", sbqc_tau=0.3)
-    REGRESSION = TrainConfig(task="regression", loss=LossSpec(LossKind.LOG_COSH))
-
-    @pytest.mark.parametrize("bad_heads", [[], [2], [0, 4], [0, 1, 2, 3, 4]])
-    def test_values_equal_head_losses(self, bad_heads):
-        outputs, y = _latents((5, 40, 1)), _labels(40)
-        outputs[bad_heads, 3, 0] = np.nan
-        for config in (self.CLASSIFICATION, self.REGRESSION):
-            target = y if config.task == "classification" else y[:, None]
-            values, _ = trainer._head_losses(config, outputs, target)
-            assert _bits(trainer._head_values(config, outputs, target)) == _bits(values)
-
-    def test_a_bad_label_of_a_finite_head_raises(self):
-        outputs, y = _latents((3, 10, 1)), _labels(10)
-        y[4] = 0.5
-        outputs[1, 0, 0] = np.inf
-        with pytest.raises(ValueError, match="labels must lie in"):
-            trainer._head_values(self.CLASSIFICATION, outputs, y)
